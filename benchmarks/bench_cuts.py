@@ -148,8 +148,8 @@ def run_smoke(
             library="sweep",
             circuits=[],
             max_variants=0,
-            speedup=gated_speedup,
             extra={
+                "speedup_cuts_vs_structural": round(gated_speedup, 3),
                 "engines": ["structural", "cuts"],
                 "gated_library": _GATED_LIBRARY,
                 "require_speedup": require_speedup,

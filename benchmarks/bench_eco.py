@@ -139,8 +139,8 @@ def run_smoke(
             library="44-3",
             circuits=records,
             max_variants=4,
-            speedup=round(speedup, 3),
             extra={
+                "speedup_eco_vs_scratch": round(speedup, 3),
                 "engine": "structural",
                 "n_edits": _N_EDITS,
                 "edit_seed": _EDIT_SEED,

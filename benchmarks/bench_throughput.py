@@ -115,8 +115,8 @@ def run_smoke(
             circuits=[],
             jobs=workers,
             max_variants=4,
-            speedup=round(speedup, 3),
             extra={
+                "speedup_warm_vs_cold": round(speedup, 3),
                 "ensemble_jobs": len(ensemble),
                 "require_speedup": require_speedup,
                 "rows_identical": True,

@@ -3,8 +3,9 @@
 ``S201``  an unpicklable callable handed to a process-dispatch point:
           a ``lambda``, a function nested inside another function (a
           closure), or a bound instance attribute (``self.method``)
-          passed as the ``setup`` of
-          :func:`repro.perf.parallel.run_tasks_parallel`, the
+          passed as the bundle factory of
+          :func:`repro.perf.parallel.stream_jobs` (positional or
+          ``factory=``) or inside its ``factory_args`` tuple, the
           ``target=`` of a ``Process``, or the callable of a
           ``pool.map``-family call.  Only module-level callables
           survive pickling into a spawned worker — a closure happens to
@@ -13,21 +14,19 @@
           static check must catch.
 
 ``S202``  a write to a *mutable module-level global* from a function
-          reachable from the worker entry points of
-          :mod:`repro.perf.parallel`.  Worker-side writes to module
-          state fork-diverge silently: each process mutates its own
-          copy, the parent never sees it, and the same code running on
-          the serial path *does* mutate the shared module — the
-          serial/parallel byte-equality the suite runner promises then
-          depends on nobody reading that state.  Reachability is a
+          reachable from the worker entry points.  Worker-side writes
+          to module state fork-diverge silently: each process mutates
+          its own copy, the parent never sees it, and the same code
+          running on the serial path *does* mutate the shared module —
+          the serial/parallel byte-equality the worker pool promises
+          then depends on nobody reading that state.  Reachability is a
           best-effort static call graph: module-level functions only,
           names resolved through each module's imports, walked from
-          ``_worker_main``/``_init_worker``/``_run_task`` and from
-          every callable passed as a ``setup``/``target`` at a
-          dispatch point.  Intentional per-process state (the worker's
-          own ``_STATE``, process-local counters that are explicitly
-          merged) carries an inline ``# repro: allow[S202]`` with its
-          justification.
+          :data:`ENTRY_POINTS` and from every callable passed as a
+          factory/``target`` at a dispatch point.  Intentional
+          per-process state (the worker's own ``_STATE``,
+          process-local counters that are explicitly merged) carries an
+          inline ``# repro: allow[S202]`` with its justification.
 """
 
 from __future__ import annotations
@@ -45,16 +44,17 @@ from repro.check.source.model import (
 
 __all__ = ["check_package", "ENTRY_POINTS"]
 
-#: Hard-coded worker entry points (module-qualified); dispatch-point
-#: ``setup=``/``target=`` arguments found in the tree are added to
-#: these at analysis time.
+#: Hard-coded worker entry points (module-qualified): the pool's worker
+#: side and every job source's bundle factory.  Dispatch-point
+#: factory/``target=`` arguments found in the tree are added to these at
+#: analysis time.
 ENTRY_POINTS: Tuple[str, ...] = (
     "repro.perf.parallel._worker_main",
     "repro.perf.parallel._init_worker",
     "repro.perf.parallel._run_task",
-    "repro.perf.parallel._suite_bundle_factory",
-    "repro.perf.parallel._task_bundle_factory",
+    "repro.harness.experiment._suite_bundle_factory",
     "repro.perf.campaign._mapping_bundle_factory",
+    "repro.fuzz.run._campaign_setup",
 )
 
 #: Methods that mutate their receiver in place.
@@ -241,35 +241,42 @@ def _scan_module(
             )
         return None
 
-    def dispatch_callable(node: ast.Call) -> Optional[ast.expr]:
-        """The callable argument of a dispatch point, if this is one."""
+    def argument(node: ast.Call, position: Optional[int],
+                  keyword: Optional[str]) -> Optional[ast.expr]:
+        for kw in node.keywords:
+            if keyword is not None and kw.arg == keyword:
+                return kw.value
+        if position is not None and len(node.args) > position:
+            return node.args[position]
+        return None
+
+    def dispatch_callables(node: ast.Call) -> List[ast.expr]:
+        """The callables a dispatch point ships into workers, if any."""
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
-        if name == "run_tasks_parallel":
-            for kw in node.keywords:
-                if kw.arg == "setup":
-                    return kw.value
-            return node.args[0] if node.args else None
-        if name == "Process":
-            for kw in node.keywords:
-                if kw.arg == "target":
-                    return kw.value
-            return None
-        if (
-            isinstance(func, ast.Attribute)
-            and name in _POOL_METHODS
-            and node.args
-        ):
-            return node.args[0]
-        return None
+        found: List[Optional[ast.expr]] = []
+        if name == "stream_jobs":
+            found.append(argument(node, 1, "factory"))
+            args = argument(node, 2, "factory_args")
+            if isinstance(args, ast.Tuple):
+                # Only what is visibly a callable: a lambda, or a name
+                # (data names resolve to nothing and classify as safe).
+                found.extend(
+                    el for el in args.elts
+                    if isinstance(el, (ast.Lambda, ast.Name))
+                )
+        elif name == "Process":
+            found.append(argument(node, None, "target"))
+        elif isinstance(func, ast.Attribute) and name in _POOL_METHODS:
+            found.append(argument(node, 0, None))
+        return [expr for expr in found if expr is not None]
 
     def scan(node: ast.AST, record: Optional[_FunctionRecord],
              enclosing: List[ast.AST]) -> None:
         if isinstance(node, ast.Call):
-            callable_arg = dispatch_callable(node)
-            if callable_arg is not None:
+            for callable_arg in dispatch_callables(node):
                 problem = classify_callable(callable_arg, enclosing)
                 if problem is not None:
                     findings.append(Finding(

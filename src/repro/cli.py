@@ -212,11 +212,14 @@ def _cmd_flowmap(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     import time
 
+    from repro.perf.counters import RunStats
+
     names = TABLE23_NAMES if args.fast else None
+    stats = RunStats()
     common = dict(verify=not args.no_verify, jobs=args.jobs,
                   cache=not args.no_cache, engine=args.engine,
                   cell_timeout=args.cell_timeout, retries=args.retries,
-                  journal=args.journal, resume=args.resume)
+                  journal=args.journal, resume=args.resume, stats=stats)
     started = time.perf_counter()
     if args.number == 1:
         rows = exp.table1(names=names, **common)
@@ -235,12 +238,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     failed = [row for row in rows if getattr(row, "failed", False)]
     if args.bench_json:
         from repro.perf.benchjson import rows_to_records, write_bench_json
-        from repro.perf.parallel import LAST_RUN_STATS
 
         extra = {"table": args.number, "cache": not args.no_cache,
                  "engine": args.engine}
         if failed or args.journal or args.resume or args.cell_timeout:
-            extra["run_stats"] = LAST_RUN_STATS.as_dict()
+            extra["run_stats"] = stats.as_dict()
         write_bench_json(
             args.bench_json,
             library=library,
@@ -802,7 +804,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance knobs shared by ``table`` and ``experiments``."""
+    """Fault-tolerance knobs of the worker pool (``table``, ``experiments``
+    and ``campaign``)."""
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="kill and replace a worker whose cell exceeds "

@@ -16,7 +16,7 @@ Semantics shared by every accessor:
   ``FOO= cmd`` is a common way to neutralise a variable in CI;
 * parse failures raise :class:`EnvVarError` whose message starts with
   ``NAME=<raw>`` so call sites can convert it into their own coded
-  error (``[R002]`` in the suite runner, :class:`NetworkError` in the
+  error (``[R002]`` in the worker pool, :class:`NetworkError` in the
   simulation kernel) without rewording;
 * reading a name that is not in :data:`REGISTRY` is a programming
   error and raises ``KeyError`` — register new knobs here first.
@@ -86,11 +86,11 @@ REGISTRY: Dict[str, EnvVar] = _registry(
         ),
         EnvVar(
             "REPRO_CELL_TIMEOUT", "float", None,
-            "per-cell wall-clock budget (seconds) in the suite runner",
+            "per-job wall-clock budget (seconds) in the worker pool",
         ),
         EnvVar(
             "REPRO_CELL_RETRIES", "int", "2",
-            "bounded retry budget for transient cell failures",
+            "bounded retry budget for transient job failures",
         ),
         EnvVar(
             "REPRO_CELL_BACKOFF", "float", "0.05",

@@ -6,7 +6,7 @@ wall-clock budget, optionally delta-debugs every failure down to a
 minimal reproducer (:mod:`repro.fuzz.shrink`) and persists reproducers
 into a replayable corpus (:mod:`repro.fuzz.corpus`).  With ``jobs > 1``
 seeds stream through the fault-tolerant warm worker pool
-(:func:`repro.perf.stream.stream_jobs`) — the oracle's pattern set is
+(:func:`repro.perf.parallel.stream_jobs`) — the oracle's pattern set is
 built once per worker — so a mapper crash or a hung seed costs one
 task, not the campaign.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fuzz.corpus import save_entry
 from repro.fuzz.generator import FuzzConfig, config_from_dict, random_dag
@@ -192,16 +192,23 @@ def _campaign_setup(
     oracle_kwargs: Dict[str, object],
     minimize: bool,
     shrink_evals: int,
-) -> Callable[[int], Dict[str, object]]:
-    """Pool-worker initializer: build the pattern set once per process."""
+) -> Callable[[Tuple[object, ...]], Callable[[int], Dict[str, object]]]:
+    """Pool-worker bundle factory: every seed shares one bundle, the
+    oracle's pattern set, built once per worker process."""
     base = config_from_dict(gen_dict)
     oracle = OracleConfig(**oracle_kwargs)  # type: ignore[arg-type]
-    patterns = oracle.build_patterns()
 
-    def runner(seed: int) -> Dict[str, object]:
-        return _run_seed(seed, base, oracle, patterns, minimize, shrink_evals)
+    def build(bundle_key: Tuple[object, ...]) -> Callable[[int], Dict[str, object]]:
+        patterns = oracle.build_patterns()
 
-    return runner
+        def runner(seed: int) -> Dict[str, object]:
+            return _run_seed(
+                seed, base, oracle, patterns, minimize, shrink_evals
+            )
+
+        return runner
+
+    return build
 
 
 # ----------------------------------------------------------------------
@@ -284,9 +291,11 @@ def run_campaign(
         budget: campaign wall-clock budget in seconds; seeds not started
             when it expires are reported as skipped, never half-run.
         jobs: 1 runs in-process; above 1 fans seeds out over the
-            fault-tolerant worker pool.
+            fault-tolerant worker pool, which honours the
+            ``REPRO_CELL_*`` timeout/retry/backoff knobs.
         shrink_evals: predicate-evaluation budget per minimization.
-        task_timeout: per-seed wall-clock limit in the parallel pool.
+        task_timeout: per-seed wall-clock limit in the pool (default
+            ``REPRO_CELL_TIMEOUT``).
         progress: optional line sink for human-readable progress.
     """
     say = progress or (lambda line: None)
@@ -320,43 +329,36 @@ def run_campaign(
             minimize,
             shrink_evals,
         )
-        # Stream seeds through the warm worker pool: the oracle's
-        # pattern set is built once per worker, and the budget gate
-        # runs per *pulled* seed — when it expires, no new seed is
-        # dispatched while in-flight seeds still finish whole.
-        from repro.perf.parallel import _task_bundle_factory
-        from repro.perf.stream import StreamJob, stream_jobs
+        from repro.perf.counters import RunStats
+        from repro.perf.parallel import StreamJob, stream_jobs
 
+        stats = RunStats()
         pulled: List[int] = []
 
         def feed() -> Iterator[StreamJob]:
-            while remaining:
-                if out_of_budget():
-                    return
+            # The budget gate runs per *pulled* seed: once it expires (or
+            # the run is interrupted) no new seed is dispatched, while
+            # in-flight seeds still finish whole.
+            while remaining and not stats.interrupted and not out_of_budget():
                 seed = remaining.pop(0)
                 pulled.append(seed)
                 yield StreamJob(label=f"seed{seed}", payload=seed)
 
-        by_index: Dict[int, object] = {}
-        engine = stream_jobs(
+        rows: Dict[int, Any] = {}
+        for item in stream_jobs(
             feed(),
-            _task_bundle_factory,
-            (_campaign_setup, setup_args),
-            workers=max(1, min(jobs, len(remaining))),
-            eager_bundles=(("task",),),
+            _campaign_setup,
+            setup_args,
+            workers=jobs,
+            eager_bundles=((),),
             cell_timeout=task_timeout,
-        )
-        try:
-            for stream_result in engine:
-                by_index[stream_result.index] = stream_result.row
-        finally:
-            engine.close()
+            stats=stats,
+        ):
+            rows[item.index] = item.row
         # Absorb in seed order so failures and corpus entries are
         # byte-identical to the serial path.
         for index, seed in enumerate(pulled):
-            row = by_index.get(index)
-            if row is None:  # pragma: no cover - interrupted stream
-                continue
+            row = rows[index]
             if getattr(row, "failed", False):
                 result.worker_failures.append(row)
                 say(f"seed {seed}: worker {row.kind}: {row.error}")

@@ -36,6 +36,7 @@ from repro.library.gate import GateLibrary
 from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.simulate import check_equivalent
+from repro.perf.counters import RunStats
 from repro.sequential.seqmap import map_sequential
 from repro.timing.sta import analyze
 
@@ -101,8 +102,8 @@ def tree_vs_dag_cell(
 ) -> ComparisonRow:
     """One (circuit, library) cell of a tree-vs-DAG table: both mappers.
 
-    Self-contained so that :func:`repro.perf.parallel.run_cells_parallel`
-    can dispatch cells to worker processes; each cell is deterministic,
+    Self-contained so that :func:`run_tree_vs_dag` can dispatch cells to
+    pool workers (:func:`_suite_bundle_factory`); each cell is deterministic,
     so rows are identical however the cells are scheduled.  ``check=True``
     runs the :mod:`repro.check` certificate on both mapping results
     (raising :class:`~repro.errors.CertificateError` on any error).
@@ -142,6 +143,47 @@ def tree_vs_dag_cell(
     )
 
 
+def _suite_bundle_factory() -> Callable[[tuple], Callable[[str], ComparisonRow]]:
+    """Pool-worker bundle factory for table cells.
+
+    The returned ``build`` turns one bundle key — ``(spec, max_variants,
+    kind_value, verify, cache, check, engine)`` — into a runner mapping
+    a circuit name to its :class:`ComparisonRow`.  Building the bundle
+    is the expensive part (pattern trie, and the NPN-class table for
+    the cuts engine), paid once per worker.
+    """
+
+    def build(bundle_key: tuple) -> Callable[[str], ComparisonRow]:
+        from repro.perf.parallel import resolve_library
+
+        spec, max_variants, kind_value, verify, cache, check, engine = (
+            bundle_key
+        )
+        patterns = PatternSet(resolve_library(spec), max_variants=max_variants)
+        if engine == "cuts":
+            # Build (or load from the persistent side-cache) the NPN
+            # table once per bundle, so per-cell mapping never pays it.
+            from repro.library.npn_table import table_for
+
+            table_for(patterns)
+        kind = MatchKind(kind_value)
+
+        def runner(name: str) -> ComparisonRow:
+            return tree_vs_dag_cell(
+                name,
+                patterns,
+                kind=kind,
+                verify=verify,
+                cache=cache,
+                check=check,
+                engine=engine,
+            )
+
+        return runner
+
+    return build
+
+
 def run_tree_vs_dag(
     library: Union[GateLibrary, PatternSet],
     names: Optional[Sequence[str]] = None,
@@ -157,74 +199,93 @@ def run_tree_vs_dag(
     retries: Optional[int] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
+    stats: Optional[RunStats] = None,
 ) -> List[ComparisonRow]:
     """Map every named suite circuit with both mappers on one library.
 
-    ``jobs > 1`` fans the cells out over worker processes via the
-    fault-tolerant runner in :mod:`repro.perf.parallel`; this needs
-    ``library_spec`` (a builtin library name or genlib path) so each
-    worker can rebuild the pattern set, and falls back to the serial
-    path when no spec is available.  Serial and parallel runs produce
-    identical rows.  ``check=True`` certifies every mapping result
-    (serial and parallel alike).
+    ``jobs > 1`` streams the cells through the worker pool
+    (:func:`repro.perf.parallel.stream_jobs`, which rejects ``jobs < 1``
+    with ``[R002]``); this needs ``library_spec`` (a builtin library
+    name or genlib path) so each worker can rebuild the pattern set, and
+    falls back to the serial path when no spec is available.  Serial and
+    pooled runs produce identical rows.  ``check=True`` certifies every
+    mapping result (serial and pooled alike).
 
-    The runner options also *force* the supervised path (even at
-    ``jobs=1``, with one isolated worker): ``cell_timeout`` bounds each
-    cell's wall-clock, ``retries`` bounds transient-failure retries,
+    The runner options also *force* the pool (even at ``jobs=1``, with
+    one isolated worker): ``cell_timeout`` bounds each cell's
+    wall-clock, ``retries`` bounds transient-failure retries,
     ``journal`` appends one JSONL record per finished cell, and
     ``resume`` replays a previous journal so only missing or failed
-    cells are re-run.  Under the supervised path a failed cell yields a
+    cells are re-run.  In the pool a failed cell yields a
     :class:`repro.perf.parallel.CellFailure` entry in the returned list
-    instead of aborting the run.
+    instead of aborting the run, and ``stats`` collects the run's
+    counters.
     """
-    names = list(names or TABLE1_NAMES)
-    supervised = (
-        jobs > 1
-        or cell_timeout is not None
-        or journal is not None
-        or resume is not None
+    names = list(TABLE1_NAMES if names is None else names)
+    forced = any(
+        opt is not None for opt in (cell_timeout, retries, journal, resume)
     )
-    if library_spec is None and (
-        cell_timeout is not None or journal is not None or resume is not None
-    ):
+    if library_spec is None and forced:
         # jobs > 1 without a spec keeps the historical serial fallback,
         # but the fault-tolerance options cannot be silently dropped.
         from repro.errors import RunnerConfigError
 
         raise RunnerConfigError(
-            "[R002] cell_timeout/journal/resume need library_spec so "
-            "worker processes can rebuild the pattern set"
+            "[R002] cell_timeout/retries/journal/resume need library_spec "
+            "so worker processes can rebuild the pattern set"
         )
-    if supervised and library_spec is not None:
-        from repro.perf.parallel import run_cells_parallel
+    if library_spec is None or (jobs == 1 and not forced):
+        patterns = (
+            library
+            if isinstance(library, PatternSet)
+            else PatternSet(library, max_variants=max_variants)
+        )
+        return [
+            tree_vs_dag_cell(
+                name, patterns, kind=kind, verify=verify, cache=cache,
+                check=check, engine=engine,
+            )
+            for name in names
+        ]
+    from repro.perf.journal import cell_key
+    from repro.perf.parallel import StreamJob, resolve_library, stream_jobs
 
-        return run_cells_parallel(
-            library_spec,
-            names,
-            kind,
-            max_variants=max_variants,
-            verify=verify,
-            cache=cache,
-            jobs=jobs,
-            check=check,
-            engine=engine,
-            cell_timeout=cell_timeout,
-            retries=retries,
-            journal_path=journal,
-            resume_path=resume,
-        )
-    patterns = (
-        library
-        if isinstance(library, PatternSet)
-        else PatternSet(library, max_variants=max_variants)
+    resolve_library(library_spec)  # fail fast (R001) before any fork
+    bundle = (
+        library_spec, int(max_variants), kind.value, bool(verify),
+        bool(cache), bool(check), str(engine),
     )
-    return [
-        tree_vs_dag_cell(
-            name, patterns, kind=kind, verify=verify, cache=cache,
-            check=check, engine=engine,
-        )
-        for name in names
-    ]
+    stream = stream_jobs(
+        (
+            StreamJob(
+                label=name,
+                payload=name,
+                bundle=bundle,
+                key=cell_key(
+                    library_spec, kind.value, name, max_variants, verify,
+                    check,
+                ),
+            )
+            for name in names
+        ),
+        _suite_bundle_factory,
+        workers=jobs,
+        eager_bundles=(bundle,),
+        cell_timeout=cell_timeout,
+        retries=retries,
+        journal=journal,
+        resume=resume,
+        row_type=ComparisonRow,
+        stats=stats,
+    )
+    rows: List[Any] = [None] * len(names)
+    for result in stream:
+        row: Any = result.row
+        if result.failed:
+            entry = SUITE.get(result.label)
+            row.iscas = entry.iscas if entry is not None else ""
+        rows[result.index] = row
+    return rows
 
 
 def table1(**kwargs: Any) -> List[ComparisonRow]:

@@ -33,8 +33,7 @@ Building the table costs one NPN canonicalisation per pattern level and
 per cell, so the result is persisted to a JSON side-cache keyed by a
 sha256 over the gate functions, the pattern keys and the build
 parameters (``REPRO_NPN_CACHE_DIR``, default ``~/.cache/repro/npn``) —
-rebuilt from scratch whenever the key or schema changes, and optionally
-built in parallel over the fault-tolerant worker pool.
+rebuilt from scratch whenever the key or schema changes.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import env
 from repro.errors import LibraryError
@@ -399,50 +398,6 @@ def _store(path: Path, table: NPNTable) -> None:
         pass
 
 
-def _chain_setup(
-    k: int, depth_cap: int
-) -> Callable[[Tuple[int, PatternGraph]], Tuple[int, Chain]]:
-    """Worker-side setup for the parallel chain build (picklable)."""
-
-    def run(payload: Tuple[int, PatternGraph]) -> Tuple[int, Chain]:
-        index, pattern = payload
-        return index, pattern_chain(pattern, k=k, depth_cap=depth_cap)
-
-    return run
-
-
-def _build_chains(
-    patterns: PatternSet, k: int, depth_cap: int, jobs: int
-) -> Tuple[Chain, ...]:
-    if jobs <= 1 or len(patterns.patterns) < 2:
-        return tuple(
-            pattern_chain(p, k=k, depth_cap=depth_cap)
-            for p in patterns.patterns
-        )
-    from repro.perf.parallel import run_tasks_parallel
-
-    payloads = list(enumerate(patterns.patterns))
-    labels = [
-        f"chain:{p.gate.name}:{i}" for i, p in payloads
-    ]
-    rows = run_tasks_parallel(
-        _chain_setup, (k, depth_cap), payloads, labels=labels, jobs=jobs
-    )
-    chains: List[Optional[Chain]] = [None] * len(payloads)
-    for row in rows:
-        if not isinstance(row, tuple):
-            raise LibraryError(
-                f"parallel NPN-table build failed: {row!r}"
-            )
-        index, chain = row
-        chains[index] = chain
-    if any(chain is None for chain in chains):
-        raise LibraryError(
-            "parallel NPN-table build returned an incomplete chain set"
-        )
-    return tuple(chain for chain in chains if chain is not None)
-
-
 def _build_cell_classes(
     patterns: PatternSet, cell_limit: int
 ) -> Dict[Tuple[int, int], Tuple[CellEntry, ...]]:
@@ -462,7 +417,6 @@ def build_npn_table(
     k: int = DEFAULT_K,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     cell_limit: Optional[int] = None,
-    jobs: int = 0,
     cache_dir: Optional[Path] = None,
     use_cache: bool = True,
 ) -> NPNTable:
@@ -477,14 +431,12 @@ def build_npn_table(
             class table (default ``k``; n = 5/6 canonicalisation costs
             tens of ms to half a second per *new* class, so widening
             beyond 4 is an explicit, persistently-cached choice).
-        jobs: > 1 fans the per-pattern chain build over the
-            fault-tolerant worker pool.
         cache_dir: side-cache directory (default ``$REPRO_NPN_CACHE_DIR``
             or ``~/.cache/repro/npn``).
         use_cache: consult/refresh the persistent side-cache.
 
     Raises:
-        LibraryError: ``k`` out of range, or a parallel build failure.
+        LibraryError: ``k`` or ``depth_cap`` out of range.
     """
     if not 1 <= k <= 6:
         raise LibraryError(f"NPN table k must be in 1..6, got {k}")
@@ -502,7 +454,10 @@ def build_npn_table(
         depth_cap=depth_cap,
         cell_limit=limit,
         key=key,
-        chains=_build_chains(patterns, k, depth_cap, jobs),
+        chains=tuple(
+            pattern_chain(p, k=k, depth_cap=depth_cap)
+            for p in patterns.patterns
+        ),
         shapes=tuple(
             pattern_shape(p, depth_cap) for p in patterns.patterns
         ),

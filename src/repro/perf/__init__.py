@@ -1,6 +1,6 @@
 """Matcher/labeling performance layer.
 
-Three cooperating pieces, all correctness-preserving by construction and
+Cooperating pieces, all correctness-preserving by construction and
 enforced byte-identical to the seed path by the test suite:
 
 * :mod:`repro.perf.signature` — structural cone signatures.  A per-node
@@ -15,23 +15,21 @@ enforced byte-identical to the seed path by the test suite:
   the binding enumeration runs once per group per subject node, and the
   structural-feasibility memo is keyed by interned subtree shapes shared
   across the whole pattern set.
-* :mod:`repro.perf.parallel` — a fault-tolerant ``multiprocessing``
-  fan-out over (circuit, library, mapper-mode) cells for the experiment
-  harness, exposed as ``--jobs N`` on the CLI.  Worker crashes, per-cell
+* :mod:`repro.perf.parallel` — the one fault-tolerant worker pool,
+  entered only through :func:`~repro.perf.parallel.stream_jobs`: a
+  long-lived warm pool consuming an unbounded job iterator with
+  per-worker cache bundles, size sharding, bounded in-flight
+  backpressure and completion-order results.  Worker crashes, per-job
   timeouts and transient failures become structured
   :class:`~repro.perf.parallel.CellFailure` rows instead of aborting the
-  run, and every finished cell is journalled
+  run, and every finished job is journalled
   (:mod:`repro.perf.journal`) so ``--resume`` re-runs only what is
-  missing.
-* :mod:`repro.perf.stream` — the streaming engine under the batch
-  drivers: a long-lived warm worker pool consuming an unbounded job
-  iterator with per-worker cache bundles, size sharding, bounded
-  in-flight backpressure and completion-order result emission.
-* :mod:`repro.perf.campaign` — mapping campaigns over the stream
-  engine: heterogeneous (circuit, library, mode, engine) job batches
-  from a JSONL manifest or a seeded ensemble, exposed as
-  ``repro-map campaign`` and benchmarked by
-  ``benchmarks/bench_throughput.py``.
+  missing.  Table cells (``--jobs N``), campaigns and fuzz seeds are
+  its job sources.
+* :mod:`repro.perf.campaign` — mapping campaigns as a job source:
+  heterogeneous (circuit, library, mode, engine) job batches from a
+  JSONL manifest or a seeded ensemble, exposed as ``repro-map
+  campaign`` and benchmarked by ``benchmarks/bench_throughput.py``.
 
 :mod:`repro.perf.counters` carries the instrumentation counters that
 surface in :class:`repro.core.result.MappingResult` and in
@@ -50,9 +48,8 @@ from repro.perf.campaign import (
 )
 from repro.perf.counters import MatchStats, RunStats
 from repro.perf.journal import load_journal
-from repro.perf.parallel import CellFailure, run_cells_parallel
+from repro.perf.parallel import CellFailure, StreamJob, StreamResult, stream_jobs
 from repro.perf.signature import cone_signature
-from repro.perf.stream import StreamJob, StreamResult, stream_jobs
 from repro.perf.trie import PatternTrie
 
 __all__ = [
@@ -68,7 +65,6 @@ __all__ = [
     "load_journal",
     "load_manifest",
     "PatternTrie",
-    "run_cells_parallel",
     "run_mapping_campaign",
     "seed_ensemble",
     "stream_campaign",

@@ -3,7 +3,7 @@
 A *campaign job* is one mapping run — a circuit (suite name, BLIF file
 or generated seed), a library spec, a mapper mode and the matcher
 options — and a campaign is an arbitrarily long stream of such jobs
-fanned over the streaming engine of :mod:`repro.perf.stream`.  Jobs
+fanned over the worker pool of :mod:`repro.perf.parallel`.  Jobs
 sharing a cache bundle key (``library``, ``max_variants``, ``kind``,
 ``engine``) reuse the worker's pattern trie / NPN-class table / matcher
 memos instead of rebuilding them per process; that amortisation is the
@@ -16,10 +16,11 @@ workers after a crash — which the equivalence tests assert.  The mapped
 netlist itself travels as a short content digest (``cover``), so a row
 stays cheap to pickle while still certifying *which* cover was chosen.
 
-Journal rows use the existing ``repro-run-journal/1`` format with the
-job's library as the cell ``spec`` and the job label as the cell
-``name``, so a partially journalled campaign resumes with the same
-machinery (and the same byte-identity guarantee) as the suite runner.
+Journal rows use the ``repro-run-journal/1`` format with the job's
+library as the cell ``spec``, the job label as the cell ``name`` and
+every other row-changing job field in the key (:meth:`CampaignJob.key`),
+so a partially journalled campaign resumes with the same machinery (and
+the same byte-identity guarantee) as the table cells.
 """
 
 from __future__ import annotations
@@ -27,31 +28,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
-from dataclasses import dataclass, fields, replace
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RunnerConfigError
 from repro.perf.counters import RunStats
-from repro.perf.journal import CellKey, JournalWriter, cell_key, load_journal
+from repro.perf.journal import CellKey, cell_key
 from repro.perf.parallel import (
-    DEFAULT_BACKOFF,
-    DEFAULT_RETRIES,
-    _resolve_float,
-    _resolve_int,
-    default_jobs,
+    StreamJob,
+    StreamResult,
     resolve_library,
+    stream_jobs,
 )
-from repro.perf.stream import StreamJob, StreamResult, stream_jobs
 
 __all__ = [
     "CampaignJob",
@@ -125,10 +113,15 @@ class CampaignJob:
         return (self.library, int(self.max_variants), self.kind, self.engine)
 
     def key(self) -> CellKey:
-        """The journal identity (``repro-run-journal/1`` cell key)."""
+        """The journal identity: every field that can change the row.
+
+        ``engine`` is left out (both engines are enforced byte-identical)
+        and so is ``weight`` (it only steers scheduling).
+        """
         return cell_key(
             self.library, self.kind, self.label, self.max_variants,
-            self.verify, self.check,
+            self.verify, self.check, source=self.source, mode=self.mode,
+            decompose=self.decompose, target=self.target,
         )
 
 
@@ -180,12 +173,6 @@ class CampaignRow:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         del out["cpu_s"]
         return out
-
-
-def _payload_to_campaign_row(payload: Dict[str, object]) -> CampaignRow:
-    """Rebuild a journalled row; unknown keys are dropped (fwd compat)."""
-    names = {f.name for f in fields(CampaignRow)}
-    return CampaignRow(**{k: v for k, v in payload.items() if k in names})  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -561,50 +548,27 @@ def stream_campaign(
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
     large_weight: Optional[int] = None,
-    max_inflight: Optional[int] = None,
     stats: Optional[RunStats] = None,
 ) -> Iterator[StreamResult]:
     """Stream ``jobs`` through warm workers, yielding completion order.
 
     ``warm=False`` is the cold baseline: every job runs in a fresh
-    worker process (``recycle_after=1``) and rebuilds its cache bundle
-    — per-job process dispatch, the thing the warm pool is benchmarked
-    against.  ``resume_path`` replays jobs journalled ``ok`` under the
-    same configuration without re-running them (``resumed`` results
-    carry ``attempts=0``, ``worker_id=-1``).
-
-    Result ``index`` values refer to positions in ``jobs``.  Timeout,
-    retry and backoff fall back to the same ``REPRO_CELL_*`` env knobs
-    as the suite runner.
+    worker process and rebuilds its cache bundle — per-job process
+    dispatch, the thing the warm pool is benchmarked against.
+    ``resume_path`` replays jobs journalled ``ok`` under the same key
+    without re-running them (``resumed`` results carry ``attempts=0``,
+    ``worker_id=-1``).  Result ``index`` values refer to positions in
+    ``jobs``; everything else is :func:`~repro.perf.parallel.stream_jobs`.
 
     Raises:
         UnknownLibrarySpecError: a job names a bad library (``R001``),
             before any worker is spawned.
-        RunnerConfigError: bad knob values (``R002``).
+        RunnerConfigError: an unknown job mode or bad knob values
+            (``R002``).
         WorkerInitError: a worker failed to initialise (``R003``).
         JournalError: unreadable ``resume_path`` (``R004``).
     """
     jobs = list(jobs)
-    run_stats = stats if stats is not None else RunStats()
-    if workers is not None and int(workers) < 1:
-        raise RunnerConfigError(
-            f"[R002] workers must be >= 1, got {workers!r}"
-        )
-    cell_timeout = _resolve_float(cell_timeout, "REPRO_CELL_TIMEOUT", None)
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise RunnerConfigError(
-            f"[R002] cell timeout must be positive, got {cell_timeout!r}"
-        )
-    retries_v = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries_v < 0:
-        raise RunnerConfigError(
-            f"[R002] retries must be >= 0, got {retries_v!r}"
-        )
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
     for mode in sorted({job.mode for job in jobs}):
         if mode not in MODES:
             raise RunnerConfigError(
@@ -613,84 +577,29 @@ def stream_campaign(
             )
     for spec in sorted({job.library for job in jobs}):
         resolve_library(spec)  # fail fast (R001) before any fork
-
-    started = time.perf_counter()
-    run_stats.cells_total += len(jobs)
-    state = load_journal(resume_path) if resume_path is not None else None
-    if resume_path is not None and journal_path is None:
-        journal_path = resume_path
-    writer = JournalWriter(journal_path) if journal_path else None
-
-    workers_n = default_jobs() if workers is None else int(workers)
-    workers_n = max(1, min(workers_n, len(jobs) or 1))
-    if writer is not None:
-        writer.start(
-            "campaign", "stream", [job.label for job in jobs], workers_n,
-            cell_timeout, retries_v,
-            resumed_cells=0,
-        )
-
-    from collections import deque
-
-    resumed: Deque[StreamResult] = deque()
-    index_map: List[int] = []
-
-    def feed() -> Iterator[StreamJob]:
-        for i, job in enumerate(jobs):
-            if state is not None:
-                entry = state.completed.get(job.key())
-                if entry is not None:
-                    run_stats.cells_resumed += 1
-                    resumed.append(StreamResult(
-                        index=i,
-                        label=job.label,
-                        row=_payload_to_campaign_row(entry[0]),
-                        failed=False,
-                        warm=True,
-                        worker_id=-1,
-                        attempts=0,
-                        wall_s=0.0,
-                    ))
-                    continue
-            index_map.append(i)
-            yield StreamJob(
+    return stream_jobs(
+        (
+            StreamJob(
                 label=job.label,
                 payload=job,
                 bundle=job.bundle(),
                 weight=job.weight,
                 key=job.key(),
             )
-
-    engine = stream_jobs(
-        feed(),
+            for job in jobs
+        ),
         _mapping_bundle_factory,
-        (),
-        workers=workers_n,
-        cell_timeout=cell_timeout,
-        retries=retries_v,
-        backoff=backoff_v,
-        max_inflight=max_inflight,
+        workers=workers,
+        warm=warm,
         large_weight=large_weight,
-        recycle_after=None if warm else 1,
-        writer=writer,
-        stats=run_stats,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        backoff=backoff,
+        journal=journal_path,
+        resume=resume_path,
+        row_type=CampaignRow,
+        stats=stats,
     )
-    try:
-        for result in engine:
-            while resumed:
-                yield resumed.popleft()
-            if result.failed:
-                run_stats.cells_failed += 1
-            else:
-                run_stats.cells_ok += 1
-            yield replace(result, index=index_map[result.index])
-        while resumed:
-            yield resumed.popleft()
-    finally:
-        engine.close()
-        run_stats.wall_s = time.perf_counter() - started
-        if writer is not None:
-            writer.end(run_stats.as_dict())
 
 
 def run_mapping_campaign(
@@ -703,20 +612,16 @@ def run_mapping_campaign(
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
     large_weight: Optional[int] = None,
-    max_inflight: Optional[int] = None,
-    on_result: Optional[Callable[[StreamResult], None]] = None,
 ) -> CampaignOutcome:
     """Run a campaign to completion; rows come back in job order.
 
     A convenience wrapper over :func:`stream_campaign` for finite job
     lists: every job yields exactly one row — a :class:`CampaignRow` or
     a :class:`~repro.perf.parallel.CellFailure` — at its input position.
-    ``on_result`` observes results in completion order as they land
-    (progress reporting).
     """
     jobs = list(jobs)
     stats = RunStats()
-    by_index: Dict[int, object] = {}
+    rows: List[object] = [None] * len(jobs)
     for result in stream_campaign(
         jobs,
         workers=workers,
@@ -727,16 +632,7 @@ def run_mapping_campaign(
         retries=retries,
         backoff=backoff,
         large_weight=large_weight,
-        max_inflight=max_inflight,
         stats=stats,
     ):
-        by_index[result.index] = result.row
-        if on_result is not None:
-            on_result(result)
-    rows = [by_index[i] for i in range(len(jobs)) if i in by_index]
-    if len(rows) != len(jobs):  # pragma: no cover - interrupted stream
-        rows = [
-            by_index.get(i) for i in range(len(jobs))
-        ]
-        rows = [row for row in rows if row is not None]
+        rows[result.index] = result.row
     return CampaignOutcome(rows=rows, stats=stats)

@@ -203,11 +203,11 @@ class SimStats:
 
 @dataclass
 class RunStats:
-    """Supervisor counters for one fault-tolerant suite run.
+    """Supervisor counters for one run of the worker pool.
 
-    Filled by :func:`repro.perf.parallel.run_cells_parallel`, exposed as
-    ``repro.perf.parallel.LAST_RUN_STATS``, written into the journal's
-    ``end`` record and into ``BENCH_mapper.json``.
+    Filled by :func:`repro.perf.parallel.stream_jobs` into the instance
+    its caller passes in, written into the journal's ``end`` record, the
+    campaign's ``--stats-json`` and ``BENCH_mapper.json``.
 
     Attributes:
         cells_total: cells requested (including resumed ones).
@@ -231,8 +231,8 @@ class RunStats:
             of the size-sharded stream engine.
         shard_steals: small jobs executed by an idle large-shard worker.
         workers_spawned: worker processes started over the whole run.
-        workers_recycled: workers retired by the ``recycle_after``
-            policy (the cold-dispatch baseline retires after every job).
+        workers_recycled: workers retired after their job by the
+            cold-dispatch baseline (``warm=False``).
     """
 
     cells_total: int = 0

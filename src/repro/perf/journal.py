@@ -1,29 +1,38 @@
-"""JSONL run journal for the fault-tolerant suite runner.
+"""JSONL run journal for the worker pool.
 
-Every finished cell of a :func:`repro.perf.parallel.run_cells_parallel`
-run is appended as one JSON line the moment it completes, so a crashed,
-interrupted or killed run loses at most the cells that were in flight.
-``--resume <journal>`` replays the journal: cells recorded as ``ok``
-under the *same cell configuration* (library spec, match kind,
-``max_variants``, ``verify``, ``check``) are reconstructed without
-re-running, failed or missing cells run again, and the merged result is
-identical to an uninterrupted run because row payloads round-trip
-through JSON exactly (Python serialises floats via ``repr``, which is
-lossless).
+Every finished job that carries a journal key
+(:attr:`repro.perf.parallel.StreamJob.key`) is appended as one JSON line
+the moment it completes, so a crashed, interrupted or killed run loses
+at most the jobs that were in flight.  ``--resume <journal>`` replays
+the journal: jobs recorded as ``ok`` under the *same key* are
+reconstructed without re-running, failed or missing jobs run again,
+and the merged result is identical to an uninterrupted run because row
+payloads round-trip through JSON exactly (Python serialises floats via
+``repr``, which is lossless).
+
+A key names everything that can change a row's payload.  Table cells
+use (library spec, match kind, circuit, ``max_variants``, ``verify``,
+``check``); campaign jobs add the circuit source (with the generator
+knobs), ``mode``, ``decompose`` and ``target``.  The key's fields are
+written at the top level of the cell record, and on load every field
+that is not bookkeeping is part of the key — so a record from an older
+run that lacks a field never matches a job that has it.
 
 Record shapes (schema ``repro-run-journal/1``)::
 
-    {"schema": ..., "event": "start", "spec": ..., "kind": ...,
-     "names": [...], "jobs": N, "cell_timeout": ..., "retries": ...}
+    {"schema": ..., "event": "start", "jobs": N, "cell_timeout": ...,
+     "retries": ...}
     {"event": "cell", "status": "ok", "name": ..., "spec": ...,
      "kind": ..., "max_variants": ..., "verify": ..., "check": ...,
-     "attempts": N, "wall_s": ..., "row": {...ComparisonRow fields...}}
+     ...further key fields..., "attempts": N, "wall_s": ...,
+     "row": {...row fields...}}
     {"event": "cell", "status": "failed", ..., "failure": {...}}
     {"event": "end", "stats": {...RunStats fields...}}
 
-The ``cache`` flag is deliberately *not* part of the cell key: the
-matching caches are enforced byte-identical to the uncached path
-(``tests/test_perf_equivalence.py``), so rows are interchangeable.
+The ``cache`` flag and the matcher ``engine`` are deliberately *not*
+part of any key: the caches and both engines are enforced
+byte-identical (``tests/test_perf_equivalence.py``, fuzz oracle
+``F009``), so their rows are interchangeable.
 """
 
 from __future__ import annotations
@@ -32,12 +41,9 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import JournalError
-
-if TYPE_CHECKING:
-    from repro.harness.experiment import ComparisonRow
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -52,10 +58,24 @@ __all__ = [
 
 JOURNAL_SCHEMA = "repro-run-journal/1"
 
-#: (spec, kind, name, max_variants, verify, check) — everything that can
-#: change a row's payload.  See the module docstring for why ``cache``
-#: is excluded.
-CellKey = Tuple[str, str, str, int, bool, bool]
+#: Sorted ``(field, value)`` pairs: everything that can change a row's
+#: payload (see the module docstring).
+CellKey = Tuple[Tuple[str, object], ...]
+
+#: Cell-record fields that are bookkeeping rather than key.
+_RECORD_FIELDS = frozenset(
+    ("event", "status", "attempts", "wall_s", "row", "failure")
+)
+
+#: Key fields every cell record must carry.
+_BASE_FIELDS = ("spec", "kind", "name", "max_variants", "verify", "check")
+
+
+def _frozen(value: object) -> object:
+    """JSON lists back to tuples, so a loaded key is hashable and equal."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
 
 
 def cell_key(
@@ -65,26 +85,34 @@ def cell_key(
     max_variants: int,
     verify: bool,
     check: bool,
+    **extra: object,
 ) -> CellKey:
-    """The identity under which a journalled cell may be reused."""
-    return (spec, kind, name, int(max_variants), bool(verify), bool(check))
+    """The identity under which a journalled job may be reused.
+
+    ``extra`` adds source-specific key fields (campaign jobs name their
+    circuit source, mode, decomposition and delay target).
+    """
+    fields = dict(
+        extra, spec=spec, kind=kind, name=name,
+        max_variants=int(max_variants), verify=bool(verify),
+        check=bool(check),
+    )
+    return tuple(sorted((k, _frozen(v)) for k, v in fields.items()))
 
 
-def row_to_payload(row: "ComparisonRow") -> Dict[str, object]:
-    """Flatten a :class:`~repro.harness.experiment.ComparisonRow` to JSON."""
+def row_to_payload(row: Any) -> Dict[str, object]:
+    """Flatten a dataclass row to JSON-able fields."""
     return dataclasses.asdict(row)
 
 
-def payload_to_row(payload: Dict[str, object]) -> "ComparisonRow":
-    """Rebuild a :class:`~repro.harness.experiment.ComparisonRow`.
+def payload_to_row(payload: Dict[str, object], row_type: Type[Any]) -> Any:
+    """Rebuild a ``row_type`` dataclass from its journalled payload.
 
     Unknown keys (from a journal written by a newer version) are
     dropped rather than rejected, so old code can still resume.
     """
-    from repro.harness.experiment import ComparisonRow
-
-    names = {f.name for f in dataclasses.fields(ComparisonRow)}
-    return ComparisonRow(**{k: v for k, v in payload.items() if k in names})
+    names = {f.name for f in dataclasses.fields(row_type)}
+    return row_type(**{k: v for k, v in payload.items() if k in names})
 
 
 @dataclass
@@ -101,12 +129,17 @@ class JournalState:
     #: every parsed record, in file order (for reporting/tests).
     records: List[Dict[str, object]] = field(default_factory=list)
 
-    def completed_row(self, key: CellKey) -> Optional["ComparisonRow"]:
-        """The reconstructed row for ``key``, or None."""
+    def completed_row(
+        self, key: CellKey, row_type: Optional[Type[Any]] = None
+    ) -> Optional[Any]:
+        """The ``row_type`` row recorded ok for ``key`` (the raw payload
+        without a ``row_type``), or None."""
         entry = self.completed.get(key)
         if entry is None:
             return None
-        return payload_to_row(entry[0])
+        if row_type is None:
+            return entry[0]
+        return payload_to_row(entry[0], row_type)
 
 
 def load_journal(path: str) -> JournalState:
@@ -144,20 +177,16 @@ def load_journal(path: str) -> JournalState:
         state.records.append(record)
         if record.get("event") != "cell":
             continue
-        try:
-            key = cell_key(
-                record["spec"],
-                record["kind"],
-                record["name"],
-                record["max_variants"],
-                record["verify"],
-                record["check"],
-            )
-        except KeyError as exc:
+        missing = [name for name in _BASE_FIELDS if name not in record]
+        if missing:
             raise JournalError(
                 f"[R004] run journal {path}:{lineno}: cell record is "
-                f"missing the {exc.args[0]!r} field"
+                f"missing the {missing[0]!r} field"
             )
+        key: CellKey = tuple(sorted(
+            (k, _frozen(v)) for k, v in record.items()
+            if k not in _RECORD_FIELDS
+        ))
         if record.get("status") == "ok":
             row = record.get("row")
             if not isinstance(row, dict):
@@ -191,47 +220,26 @@ class JournalWriter:
             os.fsync(handle.fileno())
 
     def start(
-        self,
-        spec: str,
-        kind: str,
-        names: List[str],
-        jobs: int,
-        cell_timeout: Optional[float],
-        retries: int,
-        resumed_cells: int = 0,
+        self, jobs: int, cell_timeout: Optional[float], retries: int
     ) -> None:
         self._append(
             {
                 "schema": JOURNAL_SCHEMA,
                 "event": "start",
-                "spec": spec,
-                "kind": kind,
-                "names": list(names),
                 "jobs": jobs,
                 "cell_timeout": cell_timeout,
                 "retries": retries,
-                "resumed_cells": resumed_cells,
             }
         )
 
     def cell_ok(
-        self,
-        key: CellKey,
-        row: "ComparisonRow",
-        attempts: int,
-        wall_s: float,
+        self, key: CellKey, row: Any, attempts: int, wall_s: float
     ) -> None:
-        spec, kind, name, max_variants, verify, check = key
         self._append(
             {
                 "event": "cell",
                 "status": "ok",
-                "name": name,
-                "spec": spec,
-                "kind": kind,
-                "max_variants": max_variants,
-                "verify": verify,
-                "check": check,
+                **dict(key),
                 "attempts": attempts,
                 "wall_s": round(wall_s, 6),
                 "row": row_to_payload(row),
@@ -245,17 +253,11 @@ class JournalWriter:
         attempts: int,
         wall_s: float,
     ) -> None:
-        spec, kind, name, max_variants, verify, check = key
         self._append(
             {
                 "event": "cell",
                 "status": "failed",
-                "name": name,
-                "spec": spec,
-                "kind": kind,
-                "max_variants": max_variants,
-                "verify": verify,
-                "check": check,
+                **dict(key),
                 "attempts": attempts,
                 "wall_s": round(wall_s, 6),
                 "failure": failure,

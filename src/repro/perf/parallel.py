@@ -1,59 +1,50 @@
-"""Fault-tolerant parallel suite runner for the experiment harness.
+"""The fault-tolerant warm worker pool and its one entry point.
 
-One *cell* is a (circuit, library, mapper-mode) unit of the paper's
-table experiments — both mappers on one circuit under one library.
-Workers are seeded once per process with the pattern set (built from a
-respawnable library *spec*, i.e. a builtin name or a genlib path) so the
-per-cell payload is just the circuit name and the returned row is a
-plain dataclass of floats — cheap to pickle, deterministic to merge.
+Every fan-out in the repository — the paper's table cells
+(:func:`repro.harness.experiment.run_tree_vs_dag`), mapping and tuning
+campaigns (:mod:`repro.perf.campaign`, :mod:`repro.tune`) and fuzz
+seeds (:func:`repro.fuzz.run.run_campaign`) — is a *job source*: it
+builds :class:`StreamJob` entries and streams them through
+:func:`stream_jobs`.  The pool owns everything the sources share:
 
-The seed used a bare ``pool.map``, which has exactly one failure mode:
-total.  A segfaulting worker, a hung cell, a ``MemoryError`` or an
-unpicklable exception aborted the entire suite and discarded every
-already-completed row.  This module replaces it with a supervised
-dispatch:
-
-* task-id-tagged cells go to single-cell worker processes and results
-  are merged back into request order, so scheduling never changes the
-  table;
-* any worker failure — an in-cell exception (stringified in the worker,
-  so unpicklable exceptions cannot poison the result channel), a dead
-  worker process, or a cell that exceeds the per-cell timeout — becomes
-  a structured :class:`CellFailure` row carrying the error text, the
-  attempt count and the wall-clock, while every other cell keeps
-  running;
-* failed attempts are retried with exponential backoff up to
-  ``retries`` times (timeouts are not retried: a hang is assumed
-  deterministic — raise the timeout instead);
-* timed-out and crashed workers are replaced so the pool never shrinks
-  while queued work remains;
-* ``KeyboardInterrupt`` shuts down gracefully and still returns the
-  completed rows (unfinished cells come back as ``interrupted``
-  failures);
-* every finished cell is appended to a JSONL run journal
-  (:mod:`repro.perf.journal`) so ``--resume`` re-runs only what is
-  missing or failed.
+* jobs come from an **unbounded iterator**, pulled only while fewer
+  than ``4 * workers`` are unfinished, and results are yielded in
+  **completion order** the moment they land, so an arbitrarily long
+  stream runs in constant memory;
+* workers hold **cache bundles**: every job names a bundle key, and a
+  worker builds each distinct bundle once — eagerly at init for
+  ``eager_bundles`` (a broken configuration fails fast with the coded
+  ``R003`` error), lazily on first use otherwise — then reuses it for
+  every later job with the same key.  ``warm=False`` retires each
+  worker after one job: the cold per-job-dispatch baseline;
+* any failure — an in-job exception (stringified in the worker, so
+  unpicklable exceptions cannot poison the result channel), a dead
+  worker process, or a job over the per-job timeout — becomes a
+  structured :class:`CellFailure` row while every other job keeps
+  running.  Transient failures retry with exponential backoff
+  (timeouts do not: a hang is assumed deterministic), and dead or
+  killed workers are replaced while work remains;
+* with ``large_weight`` set, jobs at or above that weight run on a
+  dedicated *large* quarter of the pool so a few heavy circuits cannot
+  head-of-line block the small ones; idle large workers steal small
+  jobs, small workers never take large ones;
+* jobs carrying a journal key are appended to a ``repro-run-journal/1``
+  file (:mod:`repro.perf.journal`) as they finish, and ``resume``
+  replays every job recorded ``ok`` under the same key without
+  dispatching it;
+* ``KeyboardInterrupt`` shuts the pool down gracefully: every job the
+  source yields still gets exactly one result, unfinished ones as
+  ``interrupted`` failure rows.
 
 Deterministic fault injection for tests and CI::
 
     REPRO_FAULT_INJECT="crash:C432s,hang:C880s,flaky:C1908s"
 
 ``crash`` hard-exits the worker (``os._exit``), ``hang`` sleeps forever
-(pair it with a cell timeout), ``flaky`` raises on the first attempt
-only — exercising crash isolation, timeout replacement and bounded
-retry respectively.
-
-The supervision loop itself lives in :mod:`repro.perf.stream` (the
-streaming warm-worker campaign engine); this module keeps the worker
-protocol (:func:`_worker_main`, fault injection, bundle factories) and
-the two batch drivers.  Workers hold *cache bundles* — one built
-runner per distinct configuration key — so a long-lived worker reuses
-its pattern trie / NPN table / memos across every job that shares the
-key.  :func:`run_tasks_parallel` exposes the same crash-isolated,
-retrying, timeout-enforcing pool for arbitrary picklable payloads (the
-fuzzing campaign of :mod:`repro.fuzz.run` fans out over it with
-``--jobs``), and :mod:`repro.perf.campaign` streams heterogeneous
-mapping jobs over the same workers.
+(pair it with a timeout), ``flaky`` raises on the first attempt only —
+exercising crash isolation, timeout replacement and bounded retry
+respectively.  Labels are the targets: suite circuit names, campaign
+job labels, ``seed<N>`` for fuzz seeds.
 """
 
 from __future__ import annotations
@@ -62,31 +53,45 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 from repro import env
 from repro.errors import (
     EnvVarError,
     RunnerConfigError,
     UnknownLibrarySpecError,
+    WorkerInitError,
 )
 from repro.perf.counters import RunStats
-from repro.perf.journal import CellKey, JournalWriter, cell_key, load_journal
+from repro.perf.journal import CellKey, JournalWriter, load_journal
 
 if TYPE_CHECKING:
-    from repro.core.match import MatchKind
-    from repro.harness.experiment import ComparisonRow
     from repro.library.gate import GateLibrary
 
 __all__ = [
     "BUILTIN_SPECS",
     "CellFailure",
-    "LAST_RUN_STATS",
+    "StreamJob",
+    "StreamResult",
     "default_jobs",
     "resolve_library",
-    "run_cells_parallel",
-    "run_tasks_parallel",
+    "stream_jobs",
 ]
 
 #: Builtin library specs accepted by :func:`resolve_library` (anything
@@ -103,9 +108,13 @@ DEFAULT_BACKOFF = 0.05
 #: enforcement and dead-worker detection.
 _TICK = 0.05
 
-#: :class:`RunStats` of the most recent :func:`run_cells_parallel` call
-#: in this process (the journal's ``end`` record carries the same data).
-LAST_RUN_STATS = RunStats()
+#: A bundle key: any hashable, picklable tuple understood by the
+#: source's bundle factory (e.g. ``(library, variants, kind, engine)``).
+BundleKey = Tuple[object, ...]
+
+#: ``factory(*factory_args)`` runs once per worker process and returns
+#: ``build(bundle_key) -> runner``; ``runner(payload)`` runs one job.
+BundleFactory = Callable[..., Callable[[BundleKey], Callable[[Any], Any]]]
 
 #: Per-worker state installed by the worker initializer.
 _STATE: dict = {}
@@ -113,20 +122,22 @@ _STATE: dict = {}
 
 @dataclass
 class CellFailure:
-    """A structured failure row standing in for one cell's result.
+    """A structured failure row standing in for one job's result.
 
     Attributes:
-        circuit: the suite circuit name of the failed cell.
-        iscas: the ISCAS tag of the circuit (for table rendering).
-        kind: ``"error"`` (in-cell exception), ``"crash"`` (worker
-            process died), ``"timeout"`` (per-cell timeout exceeded) or
+        circuit: the label of the failed job (a suite circuit name for
+            table cells).
+        iscas: the ISCAS tag of the circuit; the table source fills it
+            in, other sources leave it empty.
+        kind: ``"error"`` (in-job exception), ``"crash"`` (worker
+            process died), ``"timeout"`` (per-job timeout exceeded) or
             ``"interrupted"`` (run stopped by ``KeyboardInterrupt``).
         error: human-readable failure text (exception text, exit code,
             or timeout description).
         error_type: exception class name or a synthetic tag
             (``WorkerCrash``/``CellTimeout``/``RunInterrupted``).
         attempts: attempts consumed before giving up.
-        wall_s: wall-clock spent across all attempts of this cell.
+        wall_s: wall-clock spent across all attempts of this job.
     """
 
     circuit: str
@@ -138,7 +149,7 @@ class CellFailure:
     wall_s: float
 
     #: Duck-typing marker: ``getattr(row, "failed", False)`` separates
-    #: failure rows from ComparisonRow without importing this module.
+    #: failure rows from real rows without importing this module.
     failed = True
 
     def as_dict(self) -> Dict[str, object]:
@@ -221,89 +232,24 @@ def default_jobs() -> int:
 # ----------------------------------------------------------------------
 
 
-def _suite_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
-    """Bundle factory for suite cells (one bundle per library config).
-
-    The returned ``build`` turns one bundle key — ``(spec, max_variants,
-    kind_value, verify, cache, check, engine)`` — into a runner mapping
-    a circuit name to a :class:`~repro.harness.experiment.ComparisonRow`.
-    Building the bundle is the expensive part (pattern trie, and the
-    NPN-class table for the cuts engine); the warm pool pays it once
-    per (worker, bundle) instead of once per process per batch.
-    """
-
-    def build(bundle_key: tuple) -> Callable[[object], object]:
-        from repro.core.match import MatchKind
-        from repro.harness.experiment import tree_vs_dag_cell
-        from repro.library.patterns import PatternSet
-
-        spec, max_variants, kind_value, verify, cache, check, engine = (
-            bundle_key
-        )
-        patterns = PatternSet(resolve_library(spec), max_variants=max_variants)
-        if engine == "cuts":
-            # Build (or load from the persistent side-cache) the NPN
-            # table once per bundle, so per-cell mapping never pays it.
-            from repro.library.npn_table import table_for
-
-            table_for(patterns)
-        kind = MatchKind(kind_value)
-
-        def runner(name: object) -> object:
-            return tree_vs_dag_cell(
-                name,
-                patterns,
-                kind=kind,
-                verify=verify,
-                cache=cache,
-                check=check,
-                engine=engine,
-            )
-
-        return runner
-
-    return build
-
-
-def _task_bundle_factory(
-    setup: Callable, setup_args: tuple
-) -> Callable[[tuple], Callable[[object], object]]:
-    """Bundle factory adapter for the generic task pool.
-
-    Every :func:`run_tasks_parallel` job shares the single ``("task",)``
-    bundle, whose runner is whatever ``setup(*setup_args)`` returns —
-    the historical generic-pool contract, unchanged.
-    """
-
-    def build(bundle_key: tuple) -> Callable[[object], object]:
-        runner: Callable[[object], object] = setup(*setup_args)
-        return runner
-
-    return build
-
-
-def _init_worker(initargs: tuple) -> None:
+def _init_worker(
+    factory: BundleFactory,
+    factory_args: Tuple[object, ...],
+    eager: Tuple[BundleKey, ...],
+) -> None:
     """Worker initializer: install the bundle factory and eager bundles.
 
-    ``initargs`` is ``("campaign", factory, factory_args,
-    eager_bundles)``: ``factory`` must be a picklable (module-level)
-    callable; ``factory(*factory_args)`` runs once per worker process
-    and returns ``build(bundle_key) -> runner``.  Each bundle key in
-    ``eager_bundles`` is built immediately — so a broken configuration
-    fails at init (the coded ``R003`` error) rather than per-job — and
-    any other key a job later names is built lazily on first use and
-    cached for the worker's lifetime.  Built bundles never cross the
-    process boundary, so they may hold arbitrarily heavy state
-    (pattern sets, NPN tables, matcher memos, ...).
+    ``factory`` must be a picklable (module-level) callable;
+    ``factory(*factory_args)`` runs once per worker process and returns
+    ``build(bundle_key) -> runner``.  Each key in ``eager`` is built
+    immediately — so a broken configuration fails at init (``R003``)
+    rather than per job — and any other key a job later names is built
+    lazily on first use and cached for the worker's lifetime.  Built
+    bundles never cross the process boundary, so they may hold
+    arbitrarily heavy state (pattern sets, NPN tables, matcher memos).
     """
-    mode = initargs[0]
-    if mode != "campaign":  # pragma: no cover - caller bug
-        raise ValueError(f"unknown worker mode {mode!r}")
-    factory, factory_args, eager = initargs[1], initargs[2], initargs[3]
     build = factory(*factory_args)
-    bundles = {}
-    for bundle_key in eager:
-        bundles[bundle_key] = build(bundle_key)
+    bundles = {bundle_key: build(bundle_key) for bundle_key in eager}
     _STATE.clear()  # repro: allow[S202] per-worker state
     _STATE["build"] = build  # repro: allow[S202] per-worker state
     _STATE["bundles"] = bundles  # repro: allow[S202] per-worker state
@@ -329,7 +275,7 @@ def _run_task(payload: object) -> object:
 def _inject_fault(name: str, attempt: int) -> None:
     """Deterministic test hook: honour ``REPRO_FAULT_INJECT``.
 
-    The variable is a comma-separated list of ``mode:circuit`` items;
+    The variable is a comma-separated list of ``mode:label`` items;
     modes are ``crash`` (hard ``os._exit``, every attempt), ``hang``
     (sleep forever, every attempt) and ``flaky`` (raise on the first
     attempt only, succeed on retry).
@@ -363,9 +309,15 @@ def _worker_main(
     dies mid-send (a real crash, the injected ``os._exit``, a timeout
     kill) can never leave a lock held that would deadlock its siblings,
     which a shared ``multiprocessing.Queue`` feeder thread can.
+
+    Messages (parsed only by :func:`stream_jobs`)::
+
+        ("init_failed", worker_id, text)
+        ("done", worker_id, index, attempt, (warm, row), wall)
+        ("fail", worker_id, index, attempt, error_type, text, wall)
     """
     try:
-        _init_worker(initargs)
+        _init_worker(*initargs)
     except KeyboardInterrupt:  # pragma: no cover - parent shuts us down
         return
     except BaseException as exc:
@@ -414,318 +366,537 @@ def _describe(exc: BaseException) -> str:
 # ----------------------------------------------------------------------
 
 
-def _resolve_float(
-    value: Optional[float], name: str, default: Optional[float]
-) -> Optional[float]:
-    if value is None:
-        try:
-            value = env.read_float(name, default)
-        except EnvVarError as exc:
-            raise RunnerConfigError(f"[R002] {exc}") from None
-        if value is None:
-            return None
-    return float(value)
+@dataclass
+class StreamJob:
+    """One unit of streamed work.
+
+    Attributes:
+        label: display name; also the target of ``REPRO_FAULT_INJECT``.
+        payload: picklable argument handed to the bundle's runner.
+        bundle: cache-bundle key this job needs (see module docstring).
+        weight: size hint for sharding; jobs with ``weight >=
+            large_weight`` go to the large-worker shard.
+        key: optional journal identity; when set the finished job is
+            journalled, and a resumed run replays it.
+    """
+
+    label: str
+    payload: object
+    bundle: BundleKey = ()
+    weight: int = 0
+    key: Optional[CellKey] = None
 
 
-def _resolve_int(value: Optional[int], name: str, default: int) -> int:
-    if value is None:
-        try:
-            resolved = env.read_int(name, default)
-        except EnvVarError as exc:
-            raise RunnerConfigError(f"[R002] {exc}") from None
-        value = default if resolved is None else resolved
-    return int(value)
+@dataclass
+class StreamResult:
+    """One finished job, yielded in completion order.
+
+    Attributes:
+        index: 0-based position of the job in the input stream.
+        label: the job's label.
+        row: the runner's return value, or a :class:`CellFailure` when
+            ``failed``.
+        failed: True when ``row`` is a failure row.
+        warm: the worker already held the job's cache bundle.
+        worker_id: id of the worker that produced the result (-1 for
+            failures and for rows replayed from the resume journal).
+        attempts: attempts consumed (0 for replayed rows).
+        wall_s: wall-clock across all attempts of this job.
+    """
+
+    index: int
+    label: str
+    row: object
+    failed: bool
+    warm: bool
+    worker_id: int
+    attempts: int
+    wall_s: float
 
 
-def _iscas(name: str) -> str:
-    from repro.bench.suite import ALL_CIRCUITS
+@dataclass
+class _Worker:
+    """Supervisor-side worker handle."""
 
-    entry = ALL_CIRCUITS.get(name)
-    return entry.iscas if entry is not None else ""
+    proc: multiprocessing.process.BaseProcess
+    inbox: Any
+    conn: Any
+    shard: str
+    task: Optional[Tuple[int, int]] = None  # (index, attempt)
+    assigned_at: float = 0.0
 
 
-def run_cells_parallel(
-    spec: str,
-    names: Sequence[str],
-    kind: MatchKind,
-    max_variants: int = 8,
-    verify: bool = True,
-    cache: bool = True,
-    jobs: Optional[int] = None,
-    check: bool = False,
-    engine: str = "structural",
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    journal_path: Optional[str] = None,
-    resume_path: Optional[str] = None,
-) -> List:
-    """Map every named circuit with both mappers, fanned out over ``jobs``.
-
-    Args:
-        spec: respawnable library spec (builtin name or genlib path).
-        names: suite circuit names; one cell each.
-        kind: :class:`repro.core.match.MatchKind` for the DAG mapper.
-        max_variants: pattern variants per gate.
-        verify: simulate each mapped netlist against its source.
-        cache: enable the matching caches inside each worker.
-        jobs: worker processes (default: the schedulable CPU count,
-            capped at the number of cells actually pending).
-        check: certify every mapping result inside each worker.
-        engine: matcher candidate engine (``'structural'``/``'cuts'``);
-            rows are identical either way, so resumed journal rows from
-            the other engine remain valid.
-        cell_timeout: per-attempt wall-clock budget in seconds; a cell
-            over budget has its worker killed and replaced.  Defaults to
-            ``REPRO_CELL_TIMEOUT`` (unset = no timeout).
-        retries: bounded retry budget for transient failures (in-cell
-            exceptions and worker crashes; timeouts are final).
-            Defaults to ``REPRO_CELL_RETRIES`` or 2.
-        backoff: base delay of the exponential retry backoff
-            (``backoff * 2**attempt`` seconds).  Defaults to
-            ``REPRO_CELL_BACKOFF`` or 0.05.
-        journal_path: append one JSONL record per finished cell there.
-        resume_path: replay a previous journal; cells recorded ``ok``
-            under the same configuration are not re-run.  When no
-            ``journal_path`` is given, new records append to the
-            resumed journal.
-
-    Returns:
-        One entry per name, in the order of ``names``: a
-        ``ComparisonRow`` for every healthy cell and a
-        :class:`CellFailure` for every cell that could not produce one.
+def _resolve_knobs(
+    cell_timeout: Optional[float],
+    retries: Optional[int],
+    backoff: Optional[float],
+) -> Tuple[Optional[float], int, float]:
+    """Resolve timeout/retries/backoff: argument, then env, then default.
 
     Raises:
-        UnknownLibrarySpecError: bad ``spec`` (``R001``), before any
-            worker is spawned.
-        RunnerConfigError: bad ``jobs``/timeout/retry values (``R002``).
-        WorkerInitError: a worker's initializer failed (``R003``).
-        JournalError: ``resume_path`` is unreadable (``R004``).
+        RunnerConfigError: a non-numeric ``REPRO_CELL_*`` value or an
+            out-of-range knob (``R002``).
     """
-    global LAST_RUN_STATS
-    names = list(names)
-    if jobs is not None and int(jobs) < 1:
-        raise RunnerConfigError(
-            f"[R002] jobs must be >= 1, got {jobs!r}"
-        )
-    if not names:
-        return []
-    cell_timeout = _resolve_float(cell_timeout, "REPRO_CELL_TIMEOUT", None)
+    try:
+        if cell_timeout is None:
+            cell_timeout = env.read_float("REPRO_CELL_TIMEOUT", None)
+        if retries is None:
+            retries = env.read_int("REPRO_CELL_RETRIES", DEFAULT_RETRIES)
+        if backoff is None:
+            backoff = env.read_float("REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
+    except EnvVarError as exc:
+        raise RunnerConfigError(f"[R002] {exc}") from None
     if cell_timeout is not None and cell_timeout <= 0:
         raise RunnerConfigError(
             f"[R002] cell timeout must be positive, got {cell_timeout!r}"
         )
-    retries = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries < 0:
-        raise RunnerConfigError(
-            f"[R002] retries must be >= 0, got {retries!r}"
-        )
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
-    resolve_library(spec)  # fail fast (R001) before any fork
-
-    kind_value = getattr(kind, "value", str(kind))
-    keys: List[CellKey] = [
-        cell_key(spec, kind_value, name, max_variants, verify, check)
-        for name in names
-    ]
-    stats = RunStats(cells_total=len(names))
-    started = time.perf_counter()
-
-    completed: Dict[int, object] = {}
-    if resume_path is not None:
-        state = load_journal(resume_path)
-        for task_id, key in enumerate(keys):
-            if task_id in completed:
-                continue  # duplicate names resolve to the same key
-            row = state.completed_row(key)
-            if row is not None:
-                completed[task_id] = row
-                stats.cells_resumed += 1
-        if journal_path is None:
-            journal_path = resume_path
-    writer = JournalWriter(journal_path) if journal_path else None
-
-    pending = [i for i in range(len(names)) if i not in completed]
-    jobs = default_jobs() if jobs is None else int(jobs)
-    jobs = max(1, min(jobs, len(pending) or 1))
-    if writer is not None:
-        writer.start(
-            spec,
-            kind_value,
-            names,
-            jobs,
-            cell_timeout,
-            retries,
-            resumed_cells=stats.cells_resumed,
-        )
-    if pending:
-        from repro.perf.stream import StreamJob, stream_jobs
-
-        bundle = (
-            spec, int(max_variants), str(kind_value), bool(verify),
-            bool(cache), bool(check), str(engine),
-        )
-        stream = stream_jobs(
-            (
-                StreamJob(
-                    label=names[task_id],
-                    payload=names[task_id],
-                    bundle=bundle,
-                    key=keys[task_id],
-                )
-                for task_id in pending
-            ),
-            _suite_bundle_factory,
-            (),
-            workers=jobs,
-            eager_bundles=(bundle,),
-            cell_timeout=cell_timeout,
-            retries=retries,
-            backoff=backoff_v,
-            writer=writer,
-            stats=stats,
-            iscas_of=_iscas,
-        )
-        try:
-            for result in stream:
-                completed[pending[result.index]] = result.row
-        except KeyboardInterrupt:
-            stats.interrupted = True
-        finally:
-            stream.close()  # deterministic worker shutdown on any exit
-        # Cells the engine never saw (interrupt before they were pulled)
-        # still owe the caller a structured row.
-        for task_id in pending:
-            if task_id not in completed:
-                name = names[task_id]
-                completed[task_id] = CellFailure(
-                    circuit=name,
-                    iscas=_iscas(name),
-                    kind="interrupted",
-                    error="run interrupted before this cell finished",
-                    error_type="RunInterrupted",
-                    attempts=0,
-                    wall_s=0.0,
-                )
-    ok_rows = sum(
-        1 for row in completed.values() if not getattr(row, "failed", False)
-    )
-    stats.cells_ok = ok_rows - stats.cells_resumed
-    stats.cells_failed = len(completed) - ok_rows
-    stats.wall_s = time.perf_counter() - started
-    if writer is not None:
-        writer.end(stats.as_dict())
-    LAST_RUN_STATS = stats
-    return [completed[task_id] for task_id in range(len(names))]
+    if retries is None or retries < 0:
+        raise RunnerConfigError(f"[R002] retries must be >= 0, got {retries!r}")
+    if backoff is None or backoff < 0:
+        raise RunnerConfigError(f"[R002] backoff must be >= 0, got {backoff!r}")
+    return cell_timeout, int(retries), float(backoff)
 
 
-def run_tasks_parallel(
-    setup: Callable,
-    setup_args: tuple,
-    payloads: Sequence,
-    labels: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    task_timeout: Optional[float] = None,
+def stream_jobs(
+    jobs: Iterable[StreamJob],
+    factory: BundleFactory,
+    factory_args: Tuple[object, ...] = (),
+    *,
+    workers: Optional[int] = None,
+    warm: bool = True,
+    eager_bundles: Sequence[BundleKey] = (),
+    large_weight: Optional[int] = None,
+    cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff: Optional[float] = None,
-) -> List:
-    """Fan arbitrary picklable payloads over the fault-tolerant pool.
+    journal: Optional[str] = None,
+    resume: Optional[str] = None,
+    row_type: Optional[Type[Any]] = None,
+    stats: Optional[RunStats] = None,
+) -> Iterator[StreamResult]:
+    """Stream ``jobs`` through the supervised warm-worker pool.
 
-    The same supervised dispatch as :func:`run_cells_parallel` — crash
-    isolation, per-task timeouts with worker replacement, bounded
-    exponential-backoff retries, graceful ``KeyboardInterrupt`` — for
-    any task, without the suite-specific journaling.
+    Yields exactly one :class:`StreamResult` per job, **in completion
+    order**; consume lazily for constant-memory runs and ``close()`` the
+    stream to shut the pool down early.
 
     Args:
-        setup: picklable module-level callable; runs once per worker
-            process with ``*setup_args`` and returns the per-task runner
-            ``runner(payload) -> result``.  Heavy shared state (pattern
-            sets, libraries) belongs here so it is built once per worker.
-        setup_args: arguments for ``setup``; must be picklable.
-        payloads: one picklable task payload per task.
-        labels: per-task display names used in failure rows and by the
-            ``REPRO_FAULT_INJECT`` hook; default ``task0, task1, ...``.
-        jobs: worker processes (default: schedulable CPUs, capped at the
-            payload count).
-        task_timeout: per-attempt wall-clock budget in seconds
-            (``REPRO_CELL_TIMEOUT`` fallback; unset = none).
-        retries: bounded retry budget for transient failures
-            (``REPRO_CELL_RETRIES`` fallback, default 2).
-        backoff: retry backoff base in seconds
-            (``REPRO_CELL_BACKOFF`` fallback, default 0.05).
-
-    Returns:
-        One entry per payload, in order: the runner's return value, or a
-        :class:`CellFailure` whose ``circuit`` field carries the label.
+        jobs: the job source; pulled lazily (at most ``4 * workers``
+            unfinished jobs at a time).
+        factory / factory_args: the picklable bundle factory run once
+            per worker (see :func:`_init_worker`).
+        workers: worker processes (default: the schedulable CPU count),
+            capped at the number of jobs when the source is short.
+        warm: keep workers (and their bundles) across jobs; ``False``
+            retires every worker after one job.
+        eager_bundles: bundle keys every worker builds at init.
+        large_weight: jobs at least this heavy run on the large shard.
+        cell_timeout: per-attempt wall-clock budget in seconds; a job
+            over budget has its worker killed and replaced.  Defaults to
+            ``REPRO_CELL_TIMEOUT`` (unset = no timeout).
+        retries: retry budget for transient failures (in-job exceptions
+            and worker crashes).  Defaults to ``REPRO_CELL_RETRIES`` or 2.
+        backoff: base of the exponential retry backoff
+            (``backoff * 2**attempt`` seconds).  Defaults to
+            ``REPRO_CELL_BACKOFF`` or 0.05.
+        journal: append one JSONL record per finished keyed job.
+        resume: replay a previous journal: keyed jobs recorded ``ok``
+            come back without running (``attempts=0``, ``worker_id=-1``)
+            and new records append to it unless ``journal`` is given.
+        row_type: dataclass that replayed row payloads are rebuilt into
+            (the raw payload dict when None).
+        stats: accumulates the run's counters (totals, retries,
+            timeouts, crashes, warm hits, shard occupancy, latency
+            percentiles, jobs/s, wall-clock); its final state is the
+            journal's ``end`` record.
 
     Raises:
-        RunnerConfigError: bad ``jobs``/timeout/retry values (``R002``).
-        WorkerInitError: ``setup`` raised in a worker (``R003``).
+        RunnerConfigError: bad ``workers`` or knob values (``R002``).
+        WorkerInitError: a worker's bundle factory failed (``R003``).
+        JournalError: unreadable ``resume`` journal (``R004``).
     """
-    payloads = list(payloads)
-    if labels is None:
-        labels = [f"task{i}" for i in range(len(payloads))]
-    labels = [str(label) for label in labels]
-    if len(labels) != len(payloads):
-        raise RunnerConfigError(
-            f"[R002] got {len(labels)} labels for {len(payloads)} payloads"
-        )
-    if jobs is not None and int(jobs) < 1:
-        raise RunnerConfigError(f"[R002] jobs must be >= 1, got {jobs!r}")
-    if not payloads:
-        return []
-    task_timeout = _resolve_float(task_timeout, "REPRO_CELL_TIMEOUT", None)
-    if task_timeout is not None and task_timeout <= 0:
-        raise RunnerConfigError(
-            f"[R002] task timeout must be positive, got {task_timeout!r}"
-        )
-    retries = _resolve_int(retries, "REPRO_CELL_RETRIES", DEFAULT_RETRIES)
-    if retries < 0:
-        raise RunnerConfigError(f"[R002] retries must be >= 0, got {retries!r}")
-    backoff_v = _resolve_float(backoff, "REPRO_CELL_BACKOFF", DEFAULT_BACKOFF)
-    if backoff_v is None or backoff_v < 0:
-        raise RunnerConfigError(
-            f"[R002] backoff must be >= 0, got {backoff_v!r}"
-        )
-    jobs = default_jobs() if jobs is None else int(jobs)
-    jobs = max(1, min(jobs, len(payloads)))
-    from repro.perf.stream import StreamJob, stream_jobs
+    if workers is None:
+        workers = default_jobs()
+    if workers < 1:
+        raise RunnerConfigError(f"[R002] workers must be >= 1, got {workers!r}")
+    cell_timeout, retries, backoff = _resolve_knobs(cell_timeout, retries, backoff)
+    replay = load_journal(resume) if resume is not None else None
+    journal_path = journal if journal is not None else resume
+    writer = JournalWriter(journal_path) if journal_path else None
+    run_stats = stats if stats is not None else RunStats()
+    inflight_cap = 4 * workers
+    sharded = large_weight is not None and workers >= 2
+    n_large = max(1, min(workers - 1, round(workers / 4))) if sharded else 0
 
-    completed: Dict[int, object] = {}
-    stream = stream_jobs(
-        (
-            StreamJob(label=labels[i], payload=payloads[i])
-            for i in range(len(payloads))
-        ),
-        _task_bundle_factory,
-        (setup, setup_args),
-        workers=jobs,
-        eager_bundles=(("task",),),
-        cell_timeout=task_timeout,
-        retries=retries,
-        backoff=backoff_v,
-        stats=RunStats(cells_total=len(payloads)),
-    )
-    try:
-        for result in stream:
-            completed[result.index] = result.row
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stream.close()
-    for task_id in range(len(payloads)):
-        if task_id not in completed:
-            completed[task_id] = CellFailure(
-                circuit=labels[task_id],
-                iscas="",
-                kind="interrupted",
-                error="run interrupted before this task finished",
-                error_type="RunInterrupted",
-                attempts=0,
-                wall_s=0.0,
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    initargs = (factory, factory_args, tuple(eager_bundles))
+
+    source = iter(jobs)
+    exhausted = False
+    seen: List[StreamJob] = []
+    done: Set[int] = set()
+    ready_small: Deque[Tuple[int, int]] = deque()
+    ready_large: Deque[Tuple[int, int]] = deque()
+    delayed: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
+    cell_wall: Dict[int, float] = {}
+    latencies: List[float] = []
+    pool: Dict[int, _Worker] = {}
+    retiring: List[_Worker] = []
+    next_wid = 0
+    emit: Deque[StreamResult] = deque()
+    started = time.perf_counter()
+
+    def enqueue(index: int, attempt: int) -> None:
+        if sharded and seen[index].weight >= int(large_weight or 0):
+            ready_large.append((index, attempt))
+            if attempt == 0:
+                run_stats.shard_large_jobs += 1
+        else:
+            ready_small.append((index, attempt))
+            if attempt == 0:
+                run_stats.shard_small_jobs += 1
+
+    def pull() -> Optional[int]:
+        """Take the next job from the source; its index, or None at the end."""
+        nonlocal exhausted
+        try:
+            job = next(source)
+        except StopIteration:
+            exhausted = True
+            return None
+        seen.append(job)
+        run_stats.cells_total += 1
+        cell_wall[len(seen) - 1] = 0.0
+        return len(seen) - 1
+
+    def refill() -> None:
+        while not exhausted and len(seen) - len(done) < inflight_cap:
+            index = pull()
+            if index is None:
+                return
+            job = seen[index]
+            row = (
+                replay.completed_row(job.key, row_type)
+                if replay is not None and job.key is not None
+                else None
             )
-    return [completed[task_id] for task_id in range(len(payloads))]
+            if row is None:
+                enqueue(index, 0)
+                continue
+            run_stats.cells_resumed += 1
+            done.add(index)
+            emit.append(StreamResult(
+                index=index, label=job.label, row=row, failed=False,
+                warm=True, worker_id=-1, attempts=0, wall_s=0.0,
+            ))
+
+    def work_remains() -> bool:
+        return bool(ready_small or ready_large or delayed) or not exhausted
+
+    def spawn(shard: str) -> None:
+        nonlocal next_wid
+        inbox = ctx.SimpleQueue()
+        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(next_wid, inbox, send_conn, initargs),
+            daemon=True,
+            name=f"repro-pool-worker-{next_wid}",
+        )
+        proc.start()
+        send_conn.close()  # child keeps its copy; parent only reads
+        pool[next_wid] = _Worker(
+            proc=proc, inbox=inbox, conn=recv_conn, shard=shard
+        )
+        next_wid += 1
+        run_stats.workers_spawned += 1
+
+    def drain(conn: multiprocessing.connection.Connection) -> List[tuple]:
+        messages: List[tuple] = []
+        try:
+            while conn.poll():
+                messages.append(conn.recv())
+        except (EOFError, OSError):
+            pass  # sender died; the liveness sweep owns its task
+        return messages
+
+    def finish(result: StreamResult) -> None:
+        done.add(result.index)
+        latencies.append(result.wall_s)
+        if result.failed:
+            run_stats.cells_failed += 1
+        else:
+            run_stats.cells_ok += 1
+        emit.append(result)
+
+    def finish_failed(index: int, failure: CellFailure) -> None:
+        finish(StreamResult(
+            index=index, label=seen[index].label, row=failure, failed=True,
+            warm=False, worker_id=-1, attempts=failure.attempts,
+            wall_s=failure.wall_s,
+        ))
+
+    def finish_ok(
+        index: int, worker_id: int, warm_hit: bool, row: object,
+        attempt: int, wall: float,
+    ) -> None:
+        cell_wall[index] += wall
+        if warm_hit:
+            run_stats.warm_hits += 1
+        else:
+            run_stats.warm_misses += 1
+        job = seen[index]
+        if writer is not None and job.key is not None:
+            writer.cell_ok(job.key, row, attempt + 1, cell_wall[index])
+        finish(StreamResult(
+            index=index, label=job.label, row=row, failed=False,
+            warm=warm_hit, worker_id=worker_id, attempts=attempt + 1,
+            wall_s=cell_wall[index],
+        ))
+
+    def attempt_failed(
+        index: int,
+        attempt: int,
+        fail_kind: str,
+        error_type: str,
+        error: str,
+        wall: float,
+        retryable: bool,
+    ) -> None:
+        cell_wall[index] += wall
+        if retryable and attempt < retries:
+            run_stats.retries += 1
+            eligible = time.perf_counter() + backoff * (2 ** attempt)
+            delayed.append((eligible, index, attempt + 1))
+            return
+        job = seen[index]
+        failure = CellFailure(
+            circuit=job.label,
+            iscas="",
+            kind=fail_kind,
+            error=error,
+            error_type=error_type,
+            attempts=attempt + 1,
+            wall_s=cell_wall[index],
+        )
+        if writer is not None and job.key is not None:
+            writer.cell_failed(
+                job.key, failure.as_dict(), failure.attempts, failure.wall_s
+            )
+        finish_failed(index, failure)
+
+    def interrupted(index: int) -> None:
+        finish_failed(index, CellFailure(
+            circuit=seen[index].label,
+            iscas="",
+            kind="interrupted",
+            error="run interrupted before this job finished",
+            error_type="RunInterrupted",
+            attempts=0,
+            wall_s=cell_wall[index],
+        ))
+
+    def retire(worker_id: int) -> None:
+        worker = pool.pop(worker_id)
+        try:
+            worker.inbox.put(None)
+        except (OSError, ValueError):  # pragma: no cover - inbox closed
+            pass
+        retiring.append(worker)
+        run_stats.workers_recycled += 1
+        if work_remains():
+            spawn(worker.shard)
+
+    def handle(message: tuple) -> None:
+        tag = message[0]
+        if tag == "init_failed":
+            _, _worker_id, text = message
+            raise WorkerInitError(
+                f"[R003] pool worker failed to initialise: {text}"
+            )
+        _, worker_id, index, attempt, *rest = message
+        worker = pool.get(worker_id)
+        if (
+            worker is None
+            or worker.task != (index, attempt)
+            or index in done
+        ):
+            return  # stale message from a worker we already killed
+        worker.task = None
+        if tag == "done":
+            envelope, wall = rest
+            warm_hit, row = envelope
+            finish_ok(index, worker_id, bool(warm_hit), row, attempt, wall)
+        else:  # "fail"
+            error_type, error, wall = rest
+            attempt_failed(
+                index, attempt, "error", error_type, error, wall,
+                retryable=True,
+            )
+        if not warm:
+            retire(worker_id)
+
+    def reap_worker(worker_id: int, kill: bool) -> None:
+        worker = pool.pop(worker_id)
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        if kill and worker.proc.is_alive():
+            worker.proc.terminate()
+            worker.proc.join(1.0)
+            if worker.proc.is_alive():  # pragma: no cover - stubborn child
+                worker.proc.kill()
+                worker.proc.join(1.0)
+        else:
+            worker.proc.join(0.1)
+        if work_remains() and len(pool) < workers:
+            run_stats.workers_replaced += 1
+            spawn(worker.shard)
+
+    try:
+        try:
+            refill()
+            to_spawn = workers if not exhausted else min(
+                workers, len(seen) - len(done)
+            )
+            if writer is not None:
+                writer.start(to_spawn, cell_timeout, retries)
+            large_target = min(n_large, max(0, to_spawn - 1))
+            for i in range(to_spawn):
+                spawn("large" if i < large_target else "small")
+            while True:
+                refill()
+                if exhausted and len(done) >= len(seen):
+                    break
+                now = time.perf_counter()
+                for entry in sorted(delayed):
+                    if entry[0] <= now:
+                        delayed.remove(entry)
+                        enqueue(entry[1], entry[2])  # retries keep their shard
+                for worker in pool.values():
+                    if worker.task is not None:
+                        continue
+                    ready: Optional[Tuple[int, int]] = None
+                    if worker.shard == "large":
+                        if ready_large:
+                            ready = ready_large.popleft()
+                        elif ready_small:
+                            ready = ready_small.popleft()
+                            run_stats.shard_steals += 1
+                    elif ready_small:
+                        ready = ready_small.popleft()
+                    if ready is None:
+                        continue
+                    index, attempt = ready
+                    job = seen[index]
+                    worker.task = ready
+                    worker.assigned_at = now
+                    worker.inbox.put(
+                        (index, job.label, (job.bundle, job.payload), attempt)
+                    )
+                conns = [worker.conn for worker in pool.values()]
+                if conns:
+                    try:
+                        readable = multiprocessing.connection.wait(
+                            conns, timeout=_TICK
+                        )
+                    except OSError:  # pragma: no cover - closed under us
+                        readable = []
+                else:  # pragma: no cover - pool between reap and spawn
+                    time.sleep(_TICK)
+                    readable = []
+                for conn in readable:
+                    for message in drain(conn):
+                        handle(message)
+                now = time.perf_counter()
+                for worker_id in list(pool):
+                    worker = pool[worker_id]
+                    if not worker.proc.is_alive():
+                        # A result sent before death wins over the crash
+                        # verdict: drain the private pipe first.
+                        for message in drain(worker.conn):
+                            handle(message)
+                        if worker_id not in pool:
+                            continue  # retired while draining
+                        if worker.task is not None:
+                            run_stats.crashes += 1
+                            index, attempt = worker.task
+                            attempt_failed(
+                                index,
+                                attempt,
+                                "crash",
+                                "WorkerCrash",
+                                "worker process died with exit code "
+                                f"{worker.proc.exitcode}",
+                                now - worker.assigned_at,
+                                retryable=True,
+                            )
+                        reap_worker(worker_id, kill=False)
+                    elif (
+                        worker.task is not None
+                        and cell_timeout is not None
+                        and now - worker.assigned_at > cell_timeout
+                    ):
+                        run_stats.timeouts += 1
+                        index, attempt = worker.task
+                        attempt_failed(
+                            index,
+                            attempt,
+                            "timeout",
+                            "CellTimeout",
+                            f"cell exceeded the {cell_timeout:g}s per-cell "
+                            "timeout; worker killed and replaced",
+                            now - worker.assigned_at,
+                            retryable=False,
+                        )
+                        reap_worker(worker_id, kill=True)
+                for retired in list(retiring):
+                    if not retired.proc.is_alive():
+                        retired.proc.join(0.1)
+                        try:
+                            retired.conn.close()
+                        except OSError:  # pragma: no cover
+                            pass
+                        retiring.remove(retired)
+                while emit:
+                    yield emit.popleft()
+        except KeyboardInterrupt:
+            run_stats.interrupted = True
+            for index in range(len(seen)):
+                if index not in done:
+                    interrupted(index)
+            # Jobs never pulled still owe the caller a row.
+            late = pull()
+            while late is not None:
+                interrupted(late)
+                late = pull()
+    finally:
+        for worker in list(pool.values()) + retiring:
+            if worker.proc.is_alive() and worker.task is None:
+                try:
+                    worker.inbox.put(None)
+                except (OSError, ValueError):  # pragma: no cover
+                    pass
+        deadline = time.perf_counter() + 1.0
+        for worker in list(pool.values()) + retiring:
+            worker.proc.join(max(0.0, deadline - time.perf_counter()))
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(1.0)
+                if worker.proc.is_alive():  # pragma: no cover
+                    worker.proc.kill()
+            try:
+                worker.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+        run_stats.wall_s = time.perf_counter() - started
+        run_stats.jobs_per_s = (
+            len(latencies) / run_stats.wall_s if run_stats.wall_s > 0 else 0.0
+        )
+        run_stats.observe_latencies(latencies)
+        if writer is not None:
+            writer.end(run_stats.as_dict())
+    while emit:
+        yield emit.popleft()

@@ -275,6 +275,52 @@ class TestJournalResume:
             assert a.stable() == b.stable()
 
 
+    def test_resume_ignores_rows_of_another_mode(self, tmp_path):
+        dag_jobs = seed_ensemble(range(3), ["mini"], nodes=12, inputs=5)
+        tree_jobs = seed_ensemble(range(3), ["mini"], nodes=12, inputs=5,
+                                  mode="tree")
+        journal = tmp_path / "modes.jsonl"
+        run_mapping_campaign(dag_jobs, workers=2, journal_path=str(journal))
+        resumed = run_mapping_campaign(tree_jobs, workers=2,
+                                       resume_path=str(journal))
+        assert resumed.ok
+        assert resumed.stats.cells_resumed == 0
+        fresh = run_mapping_campaign(tree_jobs, workers=2)
+        for a, b in zip(resumed.rows, fresh.rows):
+            assert a.stable() == b.stable()
+            assert a.mode == "tree"
+
+    def test_resume_ignores_rows_of_another_circuit_source(self, tmp_path):
+        small = seed_ensemble(range(3), ["mini"], nodes=12, inputs=5)
+        large = seed_ensemble(range(3), ["mini"], nodes=20, inputs=5)
+        assert [j.label for j in small] == [j.label for j in large]
+        journal = tmp_path / "nodes.jsonl"
+        run_mapping_campaign(small, workers=2, journal_path=str(journal))
+        resumed = run_mapping_campaign(large, workers=2,
+                                       resume_path=str(journal))
+        assert resumed.stats.cells_resumed == 0
+        fresh = run_mapping_campaign(large, workers=2)
+        for a, b in zip(resumed.rows, fresh.rows):
+            assert a.stable() == b.stable()
+
+    def test_record_without_the_new_key_fields_never_matches(self, tmp_path):
+        jobs = seed_ensemble(range(2), ["mini"], nodes=10, inputs=4)
+        journal = tmp_path / "old.jsonl"
+        run_mapping_campaign(jobs, workers=1, journal_path=str(journal))
+        # Strip the campaign key fields, as an older writer recorded them.
+        records = []
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            for name in ("source", "mode", "decompose", "target"):
+                record.pop(name, None)
+            records.append(json.dumps(record))
+        journal.write_text("\n".join(records) + "\n")
+        resumed = run_mapping_campaign(jobs, workers=1,
+                                       resume_path=str(journal))
+        assert resumed.ok
+        assert resumed.stats.cells_resumed == 0
+
+
 class TestCli:
     def test_seeds_mode_streams_and_summarises(self, capsys):
         from repro.cli import main

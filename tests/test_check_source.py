@@ -235,21 +235,44 @@ class TestS104Environ:
 class TestS201Unpicklable:
     def test_lambda_setup_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import stream_jobs
 
             def go(tasks):
-                return run_tasks_parallel(tasks, setup=lambda: make())
+                return stream_jobs(tasks, factory=lambda: make())
+        """)
+        assert "S201" in codes_of(report)
+
+    def test_positional_lambda_factory_fires(self, tmp_path):
+        report = analyze_snippet(tmp_path, """\
+            from repro.perf.parallel import stream_jobs
+
+            def go():
+                return stream_jobs(iter([]), lambda: None, (), workers=1)
+        """)
+        assert "S201" in codes_of(report)
+
+    def test_callable_in_factory_args_fires(self, tmp_path):
+        report = analyze_snippet(tmp_path, """\
+            from repro.perf.parallel import stream_jobs
+
+            def factory(setup, scale):
+                return setup
+
+            def go(tasks, scale):
+                def configure():
+                    return scale
+                return stream_jobs(tasks, factory, (configure, scale))
         """)
         assert "S201" in codes_of(report)
 
     def test_nested_closure_fires(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import stream_jobs
 
             def go(tasks, spec):
                 def configure():
                     return spec
-                return run_tasks_parallel(tasks, setup=configure)
+                return stream_jobs(tasks, factory=configure)
         """)
         assert "S201" in codes_of(report)
 
@@ -262,13 +285,13 @@ class TestS201Unpicklable:
 
     def test_module_level_callable_is_fine(self, tmp_path):
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import stream_jobs
 
             def configure():
                 return 1
 
-            def go(tasks):
-                return run_tasks_parallel(tasks, setup=configure)
+            def go(tasks, scale):
+                return stream_jobs(tasks, configure, (scale, configure))
         """)
         assert codes_of(report) == []
 
@@ -362,9 +385,9 @@ class TestS202WorkerGlobals:
         assert s202[0].loc.file == "repro/other.py"
 
     def test_dispatch_setup_becomes_entrypoint(self, tmp_path):
-        # A module-level setup passed to run_tasks_parallel is walked too.
+        # A module-level factory passed to stream_jobs is walked too.
         report = analyze_snippet(tmp_path, """\
-            from repro.perf.parallel import run_tasks_parallel
+            from repro.perf.parallel import stream_jobs
 
             KNOBS = {}
 
@@ -374,9 +397,40 @@ class TestS202WorkerGlobals:
 
 
             def go(tasks):
-                return run_tasks_parallel(tasks, setup=configure)
+                return stream_jobs(tasks, factory=configure)
         """, filename="driver.py", root_package="repro")
         assert "S202" in codes_of(report)
+
+    def test_factory_args_callable_becomes_entrypoint(self, tmp_path):
+        report = analyze_snippet(tmp_path, """\
+            from repro.perf.parallel import stream_jobs
+
+            KNOBS = {}
+
+
+            def configure():
+                KNOBS["ready"] = True
+
+
+            def factory(setup):
+                return setup
+
+
+            def go(tasks):
+                return stream_jobs(tasks, factory, (configure,))
+        """, filename="driver.py", root_package="repro")
+        assert "S202" in codes_of(report)
+
+    def test_every_entry_point_exists(self):
+        import importlib
+
+        from repro.check.source.workers import ENTRY_POINTS
+
+        for qualname in ENTRY_POINTS:
+            module, _, name = qualname.rpartition(".")
+            assert callable(getattr(importlib.import_module(module), name)), (
+                qualname
+            )
 
     def test_suppression_silences(self, tmp_path):
         report = analyze_snippet(tmp_path, """\

@@ -96,5 +96,5 @@ class TestCallSites:
 
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "later")
         with pytest.raises(RunnerConfigError) as excinfo:
-            parallel._resolve_float(None, "REPRO_CELL_TIMEOUT", 1.0)
+            parallel._resolve_knobs(None, None, None)
         assert "[R002]" in str(excinfo.value)

@@ -88,6 +88,15 @@ class TestParallelCampaign:
         assert result.clean == 2
         assert not result.ok
 
+    def test_pool_honours_the_retry_budget(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:seed3")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "0")
+        result = run_campaign([2, 3, 4], _GEN, jobs=2)
+        [failure] = result.worker_failures
+        assert failure.circuit == "seed3"
+        assert failure.kind == "crash"
+        assert failure.attempts == 1
+
 
 class TestCorpusIntegration:
     def test_failures_land_in_corpus(self, tmp_path):

@@ -68,6 +68,14 @@ def test_unknown_library_is_coded_error(capsys):
     assert "[R001]" in capsys.readouterr().err
 
 
+def test_non_positive_cell_timeout_is_coded_error(capsys):
+    status = main([
+        "fuzz", "--seeds", "0:4", "--jobs", "2", "--cell-timeout", "0", "-q",
+    ])
+    assert status == 2
+    assert "[R002]" in capsys.readouterr().err
+
+
 def test_parallel_cli_run(capsys):
     status = main([
         "fuzz", "--seeds", "0:4", "--nodes", "20", "--jobs", "2", "-q",

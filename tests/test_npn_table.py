@@ -55,12 +55,6 @@ class TestChains:
                 canonical, _ = npn_canonical(TruthTable(n, bits))
                 assert canonical.bits == bits
 
-    def test_parallel_build_matches_serial(self, mini_patterns):
-        serial = fresh(mini_patterns)
-        parallel = fresh(mini_patterns, jobs=2)
-        assert parallel.chains == serial.chains
-        assert parallel.cell_classes == serial.cell_classes
-
 
 class TestCellClasses:
     def test_every_small_cell_is_findable(self, lib441_patterns):

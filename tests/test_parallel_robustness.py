@@ -1,6 +1,8 @@
-"""Fault tolerance of the parallel suite runner (repro.perf.parallel).
+"""Fault tolerance of the worker pool (repro.perf.parallel).
 
-Every failure mode is exercised through the deterministic
+Table cells reach the pool through ``run_tree_vs_dag(...,
+library_spec=...)``; the generic pool tests call ``stream_jobs``
+directly.  Every failure mode is exercised through the deterministic
 ``REPRO_FAULT_INJECT`` hook: worker crashes and hangs must yield
 structured :class:`CellFailure` rows without aborting the run, retries
 must be bounded, the JSONL journal must make runs resumable, and a
@@ -18,16 +20,21 @@ from repro.errors import (
     RunnerConfigError,
     UnknownLibrarySpecError,
 )
-from repro.harness.experiment import run_tree_vs_dag, tree_vs_dag_cell
+from repro.harness.experiment import (
+    ComparisonRow,
+    run_tree_vs_dag,
+    tree_vs_dag_cell,
+)
 from repro.library.builtin import mini_library
 from repro.library.patterns import PatternSet
 from repro.perf import journal as journal_mod
 from repro.perf.parallel import (
     BUILTIN_SPECS,
     CellFailure,
+    StreamJob,
     default_jobs,
     resolve_library,
-    run_cells_parallel,
+    stream_jobs,
 )
 
 SPEC = "mini"
@@ -39,10 +46,17 @@ NAMES = ["C432s", "C880s", "C1908s"]
 _TIMING_FIELDS = {"tree_cpu", "dag_cpu", "sim_counters"}
 
 
+def _cells(names, spec=SPEC, **kwargs):
+    """Table cells through the pool (the library object goes unused)."""
+    return run_tree_vs_dag(
+        mini_library(), names=names, kind=KIND, library_spec=spec, **kwargs
+    )
+
+
 def _run(names=NAMES, **kwargs):
     kwargs.setdefault("verify", False)
     kwargs.setdefault("jobs", 2)
-    return run_cells_parallel(SPEC, names, KIND, **kwargs)
+    return _cells(names, **kwargs)
 
 
 def _serial_rows(names=NAMES, verify=False):
@@ -60,12 +74,12 @@ def _stable(row):
 
 class TestConfigValidation:
     def test_empty_names_returns_empty_without_workers(self):
-        assert run_cells_parallel(SPEC, [], KIND) == []
+        assert _cells([], jobs=2) == []
 
     @pytest.mark.parametrize("jobs", [0, -1, -8])
     def test_bad_jobs_raises_coded_error(self, jobs):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            run_cells_parallel(SPEC, NAMES, KIND, jobs=jobs)
+            _cells(NAMES, jobs=jobs)
 
     def test_bad_timeout_and_retries(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
@@ -80,7 +94,7 @@ class TestConfigValidation:
 
     def test_unknown_spec_raises_before_spawning(self):
         with pytest.raises(UnknownLibrarySpecError, match=r"\[R001\]"):
-            run_cells_parallel("lib3", NAMES, KIND, jobs=2)
+            _cells(NAMES, spec="lib3", jobs=2)
 
     def test_resolve_library_error_lists_builtins(self):
         with pytest.raises(UnknownLibrarySpecError) as info:
@@ -124,7 +138,7 @@ class TestDefaultJobs:
 class TestFaultInjection:
     def test_crash_is_isolated_and_bounded(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:C880s")
-        rows = _run(retries=1, backoff=0.0)
+        rows = _run(retries=1)
         assert not getattr(rows[0], "failed", False)
         assert not getattr(rows[2], "failed", False)
         failure = rows[1]
@@ -153,7 +167,7 @@ class TestFaultInjection:
     def test_flaky_cell_recovers_on_retry(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:C432s")
         journal = str(tmp_path / "run.jsonl")
-        rows = _run(retries=2, backoff=0.0, journal_path=journal)
+        rows = _run(retries=2, journal=journal)
         assert all(not getattr(r, "failed", False) for r in rows)
         state = journal_mod.load_journal(journal)
         record = next(
@@ -165,7 +179,7 @@ class TestFaultInjection:
 
     def test_retries_exhaust_for_persistent_errors(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:C432s")
-        rows = _run(names=["C432s"], jobs=1, retries=0, backoff=0.0)
+        rows = _run(names=["C432s"], jobs=1, retries=0)
         assert rows[0].attempts == 1
 
 
@@ -175,11 +189,11 @@ class TestJournalResume:
     ):
         journal = str(tmp_path / "run.jsonl")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:C880s")
-        first = _run(retries=0, backoff=0.0, journal_path=journal)
+        first = _run(retries=0, journal=journal)
         assert isinstance(first[1], CellFailure)
 
         monkeypatch.delenv("REPRO_FAULT_INJECT")
-        resumed = _run(resume_path=journal)
+        resumed = _run(resume=journal)
         assert all(not getattr(r, "failed", False) for r in resumed)
         # the resumed run recomputed only the crashed cell: the healthy
         # cells have exactly one journal record across both runs.
@@ -199,7 +213,7 @@ class TestJournalResume:
 
     def test_resume_ignores_cells_with_other_configuration(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
-        _run(names=["C432s"], jobs=1, journal_path=journal, verify=False)
+        _run(names=["C432s"], jobs=1, journal=journal, verify=False)
         state = journal_mod.load_journal(journal)
         key_other = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, True, False)
         key_same = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, False, False)
@@ -208,10 +222,10 @@ class TestJournalResume:
 
     def test_journal_row_payload_roundtrips_exactly(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
-        rows = _run(names=["C432s"], jobs=1, journal_path=journal)
+        rows = _run(names=["C432s"], jobs=1, journal=journal)
         state = journal_mod.load_journal(journal)
         key = journal_mod.cell_key(SPEC, KIND.value, "C432s", 8, False, False)
-        rebuilt = state.completed_row(key)
+        rebuilt = state.completed_row(key, ComparisonRow)
         assert dataclasses.asdict(rebuilt) == dataclasses.asdict(rows[0])
 
     def test_missing_journal_raises_coded_error(self, tmp_path):
@@ -220,7 +234,7 @@ class TestJournalResume:
 
     def test_torn_tail_line_is_tolerated(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
-        _run(names=["C432s"], jobs=1, journal_path=journal)
+        _run(names=["C432s"], jobs=1, journal=journal)
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"event": "cell", "name": "C880')  # killed mid-write
         state = journal_mod.load_journal(journal)
@@ -274,41 +288,50 @@ class TestCleanRunEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Generic task pool (run_tasks_parallel)
+# Generic task pool (stream_jobs)
 # ----------------------------------------------------------------------
 
 
-def _square_setup(offset):
-    """Module-level so the initializer is picklable under spawn."""
+def _square_factory(offset):
+    """Module-level so the bundle factory is picklable under spawn."""
 
-    def runner(payload):
-        if payload == "boom":
-            raise RuntimeError("injected task error")
-        return offset + payload * payload
+    def build(bundle_key):
+        def runner(payload):
+            if payload == "boom":
+                raise RuntimeError("injected task error")
+            return offset + payload * payload
 
-    return runner
+        return runner
+
+    return build
+
+
+def _pool(offset, payloads, labels=None, **kwargs):
+    """Run payloads through ``stream_jobs``; rows in payload order."""
+    if labels is None:
+        labels = [f"task{i}" for i in range(len(payloads))]
+    jobs = [
+        StreamJob(label=label, payload=payload)
+        for label, payload in zip(labels, payloads)
+    ]
+    rows = [None] * len(jobs)
+    for result in stream_jobs(jobs, _square_factory, (offset,), **kwargs):
+        rows[result.index] = result.row
+    return rows
 
 
 class TestGenericTaskPool:
     def test_results_in_payload_order(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        rows = run_tasks_parallel(
-            _square_setup, (10,), payloads=[3, 1, 4, 1, 5], jobs=3
-        )
+        rows = _pool(10, [3, 1, 4, 1, 5], workers=3)
         assert rows == [19, 11, 26, 11, 35]
 
     def test_empty_payloads(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        assert run_tasks_parallel(_square_setup, (0,), payloads=[]) == []
+        assert _pool(0, []) == []
 
     def test_task_error_becomes_failure_row(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        rows = run_tasks_parallel(
-            _square_setup, (0,), payloads=[2, "boom", 3],
-            labels=["a", "b", "c"], jobs=2, retries=1, backoff=0.0,
+        rows = _pool(
+            0, [2, "boom", 3], labels=["a", "b", "c"], workers=2,
+            retries=1, backoff=0.0,
         )
         assert rows[0] == 4 and rows[2] == 9
         failure = rows[1]
@@ -318,18 +341,9 @@ class TestGenericTaskPool:
         assert failure.attempts == 2  # initial + one bounded retry
 
     def test_fault_injection_targets_labels(self, monkeypatch):
-        from repro.perf.parallel import run_tasks_parallel
-
         monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:t1")
-        rows = run_tasks_parallel(
-            _square_setup, (0,), payloads=[1, 2], labels=["t0", "t1"],
-            jobs=2, retries=2, backoff=0.0,
+        rows = _pool(
+            0, [1, 2], labels=["t0", "t1"], workers=2, retries=2,
+            backoff=0.0,
         )
         assert rows == [1, 4]  # flaky succeeds on retry
-
-    def test_label_count_mismatch_is_coded_error(self):
-        from repro.perf.parallel import run_tasks_parallel
-
-        with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            run_tasks_parallel(_square_setup, (0,), payloads=[1],
-                               labels=["a", "b"])

@@ -1,38 +1,65 @@
-"""The streaming worker-pool engine (repro.perf.stream).
+"""The worker pool's one entry point (repro.perf.parallel.stream_jobs).
 
-Exercises the engine through the generic task-bundle factory with
-cheap picklable payloads: completion-order emission, bounded in-flight
+Exercises the pool through a generic bundle factory with cheap
+picklable payloads: completion-order emission, bounded in-flight
 backpressure against an instrumented lazy iterator, size sharding with
-steal accounting, worker recycling (the cold-dispatch baseline), warm
-cache-bundle counters and per-task error isolation.
+steal accounting, cold dispatch (a fresh worker per job), warm
+cache-bundle counters, per-task error isolation and the fail-fast
+``[R003]`` path.
 """
+
+import multiprocessing
+import signal
+import time
 
 import pytest
 
-from repro.errors import RunnerConfigError
+from repro.errors import RunnerConfigError, WorkerInitError
 from repro.perf.counters import RunStats
-from repro.perf.parallel import CellFailure, _task_bundle_factory
-from repro.perf.stream import StreamJob, stream_jobs
+from repro.perf.parallel import CellFailure, StreamJob, stream_jobs
 
 
-def _scaled_setup(scale):
-    """Module-level worker setup (must be picklable by reference)."""
+def _scaled_factory(scale):
+    """Module-level bundle factory (must be picklable by reference)."""
 
-    def runner(payload):
-        if payload == "boom":
-            raise ValueError("injected task error")
-        return payload * scale
+    def build(bundle_key):
+        def runner(payload):
+            if payload == "boom":
+                raise ValueError("injected task error")
+            return payload * scale
 
-    return runner
+        return runner
+
+    return build
+
+
+def _broken_factory():
+    """A bundle factory whose every build raises (the R003 path)."""
+
+    def build(bundle_key):
+        raise RuntimeError("cannot build this bundle")
+
+    return build
+
+
+def _sleepy_factory(seconds):
+    """Bundle factory whose jobs take ``seconds`` each."""
+
+    def build(bundle_key):
+        def runner(payload):
+            time.sleep(seconds)
+            return payload
+
+        return runner
+
+    return build
 
 
 def _run_stream(jobs, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("eager_bundles", (("task",),))
+    kwargs.setdefault("eager_bundles", ((),))
     stats = kwargs.setdefault("stats", RunStats())
-    engine = stream_jobs(
-        iter(jobs), _task_bundle_factory, (_scaled_setup, (10,)), **kwargs
-    )
+    engine = stream_jobs(iter(jobs), _scaled_factory, (10,), **kwargs)
     results = list(engine)
     return results, stats
 
@@ -40,20 +67,27 @@ def _run_stream(jobs, **kwargs):
 class TestValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=0))
+            list(stream_jobs(iter([]), _scaled_factory, (1,), workers=0))
 
-    def test_max_inflight_below_workers_rejected(self):
+    def test_bad_knobs_rejected(self, monkeypatch):
         with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=4,
-                             max_inflight=2))
+            list(stream_jobs(iter([]), _scaled_factory, (1,), workers=1,
+                             cell_timeout=0))
+        with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
+            list(stream_jobs(iter([]), _scaled_factory, (1,), workers=1,
+                             retries=-1))
+        monkeypatch.setenv("REPRO_CELL_BACKOFF", "later")
+        with pytest.raises(RunnerConfigError, match="REPRO_CELL_BACKOFF"):
+            list(stream_jobs(iter([]), _scaled_factory, (1,), workers=1))
 
-    def test_recycle_after_below_one_rejected(self):
-        with pytest.raises(RunnerConfigError, match=r"\[R002\]"):
-            list(stream_jobs(iter([]), _task_bundle_factory,
-                             (_scaled_setup, (1,)), workers=1,
-                             recycle_after=0))
+    def test_eager_bundle_failure_is_coded_and_prompt(self):
+        jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(6)]
+        started = time.perf_counter()
+        with pytest.raises(WorkerInitError, match=r"\[R003\]"):
+            list(stream_jobs(iter(jobs), _broken_factory, workers=2,
+                             eager_bundles=((),)))
+        assert time.perf_counter() - started < 10.0
+        assert multiprocessing.active_children() == []
 
     def test_empty_iterator_completes_without_results(self):
         results, stats = _run_stream([])
@@ -73,7 +107,7 @@ class TestStreaming:
 
     def test_backpressure_bounds_iterator_pull(self):
         pulled = []
-        max_inflight = 4
+        workers = 2
 
         def feed():
             for i in range(30):
@@ -82,15 +116,14 @@ class TestStreaming:
 
         consumed = 0
         engine = stream_jobs(
-            feed(), _task_bundle_factory, (_scaled_setup, (1,)),
-            workers=2, eager_bundles=(("task",),),
-            max_inflight=max_inflight,
+            feed(), _scaled_factory, (1,),
+            workers=workers, eager_bundles=((),),
         )
         for _ in engine:
             consumed += 1
             # Engine invariant: in-flight (pulled minus completed) never
-            # exceeds max_inflight, and completed >= consumed here.
-            assert len(pulled) <= consumed + max_inflight + 1
+            # exceeds 4 * workers, and completed >= consumed here.
+            assert len(pulled) <= consumed + 4 * workers + 1
         assert consumed == 30
 
     def test_eager_bundles_make_every_job_warm(self):
@@ -154,7 +187,7 @@ class TestSharding:
 class TestRecycling:
     def test_recycle_after_one_is_cold_dispatch(self):
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(8)]
-        results, stats = _run_stream(jobs, workers=2, recycle_after=1,
+        results, stats = _run_stream(jobs, workers=2, warm=False,
                                      eager_bundles=())
         assert len(results) == 8
         assert stats.warm_hits == 0
@@ -165,7 +198,7 @@ class TestRecycling:
     def test_recycled_results_match_warm_results(self):
         jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(10)]
         warm_results, _ = _run_stream(jobs)
-        cold_results, _ = _run_stream(jobs, recycle_after=1)
+        cold_results, _ = _run_stream(jobs, warm=False)
         warm_rows = {r.index: r.row for r in warm_results}
         cold_rows = {r.index: r.row for r in cold_results}
         assert warm_rows == cold_rows
@@ -175,3 +208,32 @@ class TestRecycling:
         _, stats = _run_stream(jobs)
         assert stats.jobs_per_s > 0
         assert 0 < stats.p50_s <= stats.p95_s <= stats.p99_s
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX timers")
+class TestInterrupt:
+    def test_every_job_gets_one_row_after_ctrl_c(self):
+        jobs = [StreamJob(label=f"t{i}", payload=i) for i in range(40)]
+        stats = RunStats()
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            results = list(stream_jobs(
+                iter(jobs), _sleepy_factory, (0.2,), workers=2,
+                eager_bundles=((),), stats=stats,
+            ))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sorted(r.index for r in results) == list(range(40))
+        assert stats.interrupted
+        assert stats.cells_total == 40
+        stopped = [r for r in results if r.failed]
+        assert stopped
+        assert all(r.row.kind == "interrupted" for r in stopped)
+        assert stats.cells_ok + stats.cells_failed == 40
+        assert multiprocessing.active_children() == []
