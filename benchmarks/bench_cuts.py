@@ -1,18 +1,27 @@
-"""Bench smoke for the cut-enumeration matching engine.
+"""Bench smoke for the matcher's cut filter, forced on against off.
 
 Two entry points:
 
 * ``python benchmarks/bench_cuts.py`` — the CI smoke.  Maps the
-  Table-2/3 circuits with the structural and the cut matching engines on
-  the *reference* (uncached) matcher path, sweeping library size
-  (lib2 -> 44-1 -> 44-3 -> sized lib2), asserts both engines produce
-  identical delay and area everywhere, asserts the cut engine is at
-  least ``--require-speedup`` times faster on the 625-gate 44-3 library
-  (where pattern pruning pays; on small libraries the filter overhead
-  dominates and the honest slowdown is reported, not gated), asserts a
-  repeated 44-3 table build is fully served by the NPN canonicalisation
-  cache, and writes everything to ``BENCH_cuts.json``.
-* ``pytest benchmarks/bench_cuts.py`` — the same engine comparison as
+  Table-2/3 circuits with the cut filter forced off (every pattern tried
+  structurally) and forced on, sweeping library size (lib2 -> 44-1 ->
+  44-3 -> sized lib2), on two matcher paths:
+
+  - the *reference* path (``Matcher(cache=False)``), where no signature
+    replay masks the filter — ``speedup_cuts_vs_structural``, the gated
+    ratio;
+  - the default *cached* path — ``speedup_cuts_vs_structural_cached``,
+    the ratio a default run sees where the matcher's rule turns the
+    filter on.
+
+  It asserts all four runs produce identical delay and area everywhere,
+  asserts the reference-path ratio is at least ``--require-speedup`` on
+  the 625-gate 44-3 library (where pattern pruning pays; on small
+  libraries the filter overhead dominates and the honest slowdown is
+  reported, not gated), asserts a repeated 44-3 table build is fully
+  served by the NPN canonicalisation cache, and writes everything to
+  ``BENCH_cuts.json``.
+* ``pytest benchmarks/bench_cuts.py`` — the same comparison as
   pytest-benchmark cases (one circuit on 44-3, so the suite stays quick).
 """
 
@@ -26,10 +35,13 @@ import pytest
 
 from repro.bench.suite import TABLE23_NAMES, build_subject
 from repro.core.dag_mapper import map_dag
+from repro.core.match import Matcher
+from repro.core.result import MappingResult
 from repro.library.builtin import lib2_like, lib2_sized, lib44_1, lib44_3
 from repro.library.npn_table import build_npn_table, table_for
 from repro.library.patterns import PatternSet
 from repro.network.npn import NPN_STATS
+from repro.network.subject import SubjectGraph
 from repro.perf.benchjson import result_record, write_bench_json
 
 _EPS = 1e-9
@@ -47,62 +59,80 @@ _SWEEP: List[Tuple[str, object, int]] = [
 _GATED_LIBRARY = "44-3"
 
 
+def _timed_map(
+    subject: SubjectGraph, patterns: PatternSet, cache: bool, cut_filter: bool
+) -> Tuple[MappingResult, float]:
+    """One fresh-matcher ``map_dag`` with the filter forced; (result, s)."""
+    matcher = Matcher(patterns, cache=cache, cut_filter=cut_filter)
+    t0 = time.perf_counter()
+    result = map_dag(subject, patterns, matcher=matcher)
+    return result, time.perf_counter() - t0
+
+
 def _bench_library(
     label: str,
     patterns: PatternSet,
     names: Sequence[str],
     verbose: bool,
 ) -> Dict[str, object]:
-    """Both engines over ``names`` on the reference path; one record."""
+    """Filter off vs on over ``names``, on both matcher paths; one record."""
     t0 = time.perf_counter()
-    table = table_for(patterns, use_cache=False)
+    table = table_for(patterns)
     table_build_s = time.perf_counter() - t0
     records: List[dict] = []
-    total_structural = 0.0
-    total_cuts = 0.0
+    # (cache, cut_filter) -> total seconds over the circuits
+    totals = {key: 0.0 for key in
+              ((False, False), (False, True), (True, False), (True, True))}
     for name in names:
         _, subject = build_subject(name)
-        t0 = time.perf_counter()
-        structural = map_dag(subject, patterns, cache=False)
-        t1 = time.perf_counter()
-        cuts = map_dag(subject, patterns, cache=False, engine="cuts")
-        t2 = time.perf_counter()
-        if abs(cuts.delay - structural.delay) > _EPS:
-            raise AssertionError(
-                f"{label}/{name}: cut-engine delay {cuts.delay} != "
-                f"structural {structural.delay}"
-            )
-        if abs(cuts.area - structural.area) > _EPS:
-            raise AssertionError(
-                f"{label}/{name}: cut-engine area {cuts.area} != "
-                f"structural {structural.area}"
-            )
-        total_structural += t1 - t0
-        total_cuts += t2 - t1
-        record = result_record(name, subject.n_gates, cuts, wall_s=t2 - t1)
-        record["structural_wall_s"] = round(t1 - t0, 4)
+        runs = {key: _timed_map(subject, patterns, *key) for key in totals}
+        structural = runs[(False, False)][0]
+        for key, (result, wall_s) in runs.items():
+            totals[key] += wall_s
+            for what in ("delay", "area"):
+                got = getattr(result, what)
+                want = getattr(structural, what)
+                if abs(got - want) > _EPS:
+                    raise AssertionError(
+                        f"{label}/{name}: {what} {got} with (cache, "
+                        f"cut_filter)={key} != {want} on the reference path"
+                    )
+        cuts, cuts_s = runs[(False, True)]
+        record = result_record(name, subject.n_gates, cuts, wall_s=cuts_s)
+        record["structural_wall_s"] = round(runs[(False, False)][1], 4)
+        record["cached_cuts_wall_s"] = round(runs[(True, True)][1], 4)
+        record["cached_structural_wall_s"] = round(runs[(True, False)][1], 4)
         records.append(record)
         if verbose:
             print(
-                f"{label:10s} {name:8s} structural {t1 - t0:6.2f}s  "
-                f"cuts {t2 - t1:6.2f}s  delay {cuts.delay:g}  "
+                f"{label:10s} {name:8s} reference: off "
+                f"{runs[(False, False)][1]:6.2f}s  on {cuts_s:6.2f}s   "
+                f"cached: off {runs[(True, False)][1]:6.2f}s  on "
+                f"{runs[(True, True)][1]:6.2f}s  delay {cuts.delay:g}  "
                 f"area {cuts.area:g}"
             )
-    speedup = total_structural / max(total_cuts + table_build_s, 1e-9)
+    speedup = totals[(False, False)] / max(
+        totals[(False, True)] + table_build_s, 1e-9
+    )
+    cached_speedup = totals[(True, False)] / max(
+        totals[(True, True)] + table_build_s, 1e-9
+    )
     if verbose:
         print(
-            f"{label:10s} TOTAL    structural {total_structural:6.2f}s  "
-            f"cuts {total_cuts:6.2f}s (+{table_build_s:.2f}s table)  "
-            f"speedup {speedup:.2f}x"
+            f"{label:10s} TOTAL    (+{table_build_s:.2f}s table)  "
+            f"reference {speedup:.2f}x  cached {cached_speedup:.2f}x"
         )
     return {
         "library": label,
         "n_patterns": len(patterns.patterns),
         "npn_classes": len(table.cell_classes),
         "table_build_s": round(table_build_s, 4),
-        "structural_total_s": round(total_structural, 4),
-        "cuts_total_s": round(total_cuts, 4),
+        "structural_total_s": round(totals[(False, False)], 4),
+        "cuts_total_s": round(totals[(False, True)], 4),
         "speedup": round(speedup, 3),
+        "cached_structural_total_s": round(totals[(True, False)], 4),
+        "cached_cuts_total_s": round(totals[(True, True)], 4),
+        "cached_speedup": round(cached_speedup, 3),
         "circuits": records,
     }
 
@@ -110,7 +140,7 @@ def _bench_library(
 def _assert_npn_cache_warm(patterns: PatternSet) -> Dict[str, int]:
     """Satellite gate: a repeat table build must be all NPN-cache hits."""
     hits0, misses0 = NPN_STATS.hits, NPN_STATS.misses
-    build_npn_table(patterns, use_cache=False)
+    build_npn_table(patterns)
     hits = NPN_STATS.hits - hits0
     misses = NPN_STATS.misses - misses0
     if misses != 0:
@@ -129,10 +159,11 @@ def run_smoke(
     fast: bool = False,
     verbose: bool = True,
 ) -> float:
-    """Engine sweep over the library sizes; returns the 44-3 speedup."""
+    """Filter sweep over the library sizes; returns the gated 44-3 ratio."""
     sweep = [e for e in _SWEEP if not fast or e[0] in ("lib2", _GATED_LIBRARY)]
     libraries: List[Dict[str, object]] = []
     gated_speedup = 0.0
+    cached_speedup = 0.0
     npn_cache: Dict[str, int] = {}
     for label, factory, max_variants in sweep:
         patterns = PatternSet(factory(), max_variants=max_variants)
@@ -141,6 +172,7 @@ def run_smoke(
         libraries.append(entry)
         if label == _GATED_LIBRARY:
             gated_speedup = float(entry["speedup"])  # type: ignore[arg-type]
+            cached_speedup = float(entry["cached_speedup"])  # type: ignore[arg-type]
             npn_cache = _assert_npn_cache_warm(patterns)
     if out:
         write_bench_json(
@@ -150,7 +182,8 @@ def run_smoke(
             max_variants=0,
             extra={
                 "speedup_cuts_vs_structural": round(gated_speedup, 3),
-                "engines": ["structural", "cuts"],
+                "speedup_cuts_vs_structural_cached": round(cached_speedup, 3),
+                "cut_filter": ["forced off", "forced on"],
                 "gated_library": _GATED_LIBRARY,
                 "require_speedup": require_speedup,
                 "npn_cache": npn_cache,
@@ -161,7 +194,7 @@ def run_smoke(
             print(f"written {out}")
     if gated_speedup < require_speedup:
         raise AssertionError(
-            f"cut engine only {gated_speedup:.2f}x faster on "
+            f"cut filter only {gated_speedup:.2f}x faster on "
             f"{_GATED_LIBRARY}; require >= {require_speedup:g}x"
         )
     return gated_speedup
@@ -173,14 +206,17 @@ def run_smoke(
 @pytest.mark.parametrize("engine", ["structural", "cuts"])
 def test_engine_c2670_44_3(benchmark, engine, lib44_3_patterns, get_subject):
     subject = get_subject("C2670s")
-    if engine == "cuts":
+    cut_filter = engine == "cuts"
+    if cut_filter:
         table_for(lib44_3_patterns)  # amortised once per library in prod
     result = benchmark.pedantic(
-        lambda: map_dag(subject, lib44_3_patterns, cache=False, engine=engine),
+        lambda: map_dag(subject, lib44_3_patterns, matcher=Matcher(
+            lib44_3_patterns, cache=False, cut_filter=cut_filter)),
         rounds=1,
         iterations=1,
     )
-    reference = map_dag(subject, lib44_3_patterns, cache=False)
+    reference = map_dag(subject, lib44_3_patterns,
+                        matcher=Matcher(lib44_3_patterns, cache=False))
     assert abs(result.delay - reference.delay) <= _EPS
     assert abs(result.area - reference.area) <= _EPS
     benchmark.extra_info.update(

@@ -57,7 +57,7 @@ def _bench_circuit(
     # run's warm match cache is where the incremental win comes from.
     matcher = Matcher(patterns)
     t0 = time.perf_counter()
-    base = map_dag(subject, patterns, cache=True, matcher=matcher)
+    base = map_dag(subject, patterns, matcher=matcher)
     base_wall = time.perf_counter() - t0
 
     script = random_edit_script(net, seed=_EDIT_SEED, n_edits=_N_EDITS)
@@ -73,7 +73,7 @@ def _bench_circuit(
     eco = eco_remap(base, edited, patterns, matcher=matcher)
     eco_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    scratch = map_dag(decompose_network(edited), patterns, cache=True)
+    scratch = map_dag(decompose_network(edited), patterns)
     scratch_wall = time.perf_counter() - t0
 
     if abs(eco.result.delay - scratch.delay) > _EPS:
@@ -141,7 +141,6 @@ def run_smoke(
             max_variants=4,
             extra={
                 "speedup_eco_vs_scratch": round(speedup, 3),
-                "engine": "structural",
                 "n_edits": _N_EDITS,
                 "edit_seed": _EDIT_SEED,
                 "edit_fraction_cap": _EDIT_FRACTION_CAP,
@@ -166,9 +165,7 @@ def run_smoke(
 def test_eco_vs_scratch_c2670_44_3(benchmark, lib44_3_patterns, get_network):
     net = get_network("C2670s")
     matcher = Matcher(lib44_3_patterns)
-    base = map_dag(
-        decompose_network(net), lib44_3_patterns, cache=True, matcher=matcher
-    )
+    base = map_dag(decompose_network(net), lib44_3_patterns, matcher=matcher)
     script = random_edit_script(net, seed=_EDIT_SEED, n_edits=_N_EDITS)
     edited = script.apply(net)
     eco = benchmark.pedantic(
@@ -176,7 +173,7 @@ def test_eco_vs_scratch_c2670_44_3(benchmark, lib44_3_patterns, get_network):
         rounds=1,
         iterations=1,
     )
-    scratch = map_dag(decompose_network(edited), lib44_3_patterns, cache=True)
+    scratch = map_dag(decompose_network(edited), lib44_3_patterns)
     assert abs(eco.result.delay - scratch.delay) <= _EPS
     assert abs(eco.result.area - scratch.area) <= _EPS
     assert eco.result.netlist is not None and scratch.netlist is not None

@@ -3,10 +3,11 @@
 Two entry points:
 
 * ``python benchmarks/bench_matcher_cache.py`` — the CI smoke.  Maps the
-  Table-2/3 circuits under the rich 44-3 library with the caches on and
-  off, asserts the cached path is at least ``--require-speedup`` times
-  faster with *identical* delay and area, and writes the wall times and
-  cache counters to ``BENCH_mapper.json``.
+  Table-2/3 circuits under the rich 44-3 library with the default
+  matcher and with the cache-free reference path
+  (``Matcher(cache=False)``), asserts the cached path is at least
+  ``--require-speedup`` times faster with *identical* delay and area,
+  and writes the wall times and cache counters to ``BENCH_mapper.json``.
 * ``pytest benchmarks/bench_matcher_cache.py`` — the same comparison as
   pytest-benchmark cases (one circuit, so the suite stays quick).
 """
@@ -49,7 +50,8 @@ def run_smoke(
         t0 = time.perf_counter()
         cached = map_dag(subject, patterns, matcher=shared)
         t1 = time.perf_counter()
-        uncached = map_dag(subject, patterns, cache=False)
+        uncached = map_dag(subject, patterns,
+                           matcher=Matcher(patterns, cache=False))
         t2 = time.perf_counter()
         if abs(cached.delay - uncached.delay) > _EPS:
             raise AssertionError(
@@ -101,11 +103,13 @@ def run_smoke(
 def test_matcher_cache_c2670(benchmark, cache, lib44_3_patterns, get_subject):
     subject = get_subject("C2670s")
     result = benchmark.pedantic(
-        lambda: map_dag(subject, lib44_3_patterns, cache=cache),
+        lambda: map_dag(subject, lib44_3_patterns,
+                        matcher=Matcher(lib44_3_patterns, cache=cache)),
         rounds=1,
         iterations=1,
     )
-    reference = map_dag(subject, lib44_3_patterns, cache=False)
+    reference = map_dag(subject, lib44_3_patterns,
+                        matcher=Matcher(lib44_3_patterns, cache=False))
     assert abs(result.delay - reference.delay) <= _EPS
     assert abs(result.area - reference.area) <= _EPS
     if cache:

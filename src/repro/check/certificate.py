@@ -39,7 +39,7 @@ from typing import Dict, Optional, Sequence, Set
 
 from repro.check.diagnostics import CheckReport
 from repro.core.cover import signal_name
-from repro.core.match import Match, MatchKind, subject_uses, verify_match
+from repro.core.match import Match, Matcher, MatchKind, subject_uses, verify_match
 from repro.core.result import MappingResult
 from repro.errors import CertificateError, MappingError, NetworkError
 from repro.library.patterns import PatternSet
@@ -347,7 +347,8 @@ def certify_mapping(
             from repro.core.labeling import compute_labels
 
             independent = compute_labels(
-                subject, patterns, kind=kind, cache=False
+                subject, patterns, kind=kind,
+                matcher=Matcher(patterns, kind, cache=False),
             )
             if abs(independent.max_arrival - bound) > _TOL:
                 report.add(

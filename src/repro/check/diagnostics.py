@@ -118,7 +118,7 @@ CODES: Dict[str, CodeInfo] = _catalog(
         ("F006", Severity.ERROR, "mapper raised an unexpected exception"),
         ("F007", Severity.ERROR, "generated network fails structural lint"),
         ("F008", Severity.WARNING, "shrinker could not preserve the failure"),
-        ("F009", Severity.ERROR, "structural and cut matching engines disagree"),
+        ("F009", Severity.ERROR, "cut filter forced on and off disagree"),
         ("F010", Severity.ERROR, "area recovery or multimap violates its contract"),
         ("F011", Severity.ERROR, "incremental (eco) remap differs from from-scratch"),
         # ---------------- eco patch certification (E###) ---------------

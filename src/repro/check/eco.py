@@ -18,9 +18,9 @@ pass is cheap enough to gate every incremental call.
           label would surface here);
 ``E004``  a primary output's driver is missing from the patched cover or
           carries no selected match;
-``E005``  the eco run's metadata (match kind, engine, library,
-          objective) diverges from the base mapping's — the reuse
-          premise itself is violated.
+``E005``  the eco run's metadata (match kind, library, objective)
+          diverges from the base mapping's — the reuse premise itself
+          is violated.
 
 Individual match-rule violations additionally surface under their
 ``C101``–``C106`` primitive codes, exactly as the full certificate does.
@@ -68,10 +68,9 @@ def certify_patch(
     subject = labels.subject
     kind = MatchKind(eco.match_kind)
 
-    # E005: the reuse premise — same kind, engine, library, objective.
+    # E005: the reuse premise — same kind, library, objective.
     for field_name, eco_value, base_value in (
         ("match_kind", eco.match_kind, base.match_kind),
-        ("engine", eco.engine, base.engine),
         ("library", eco.library, base.library),
         ("objective", labels.objective, base.labels.objective),
     ):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.bench.suite import ALL_CIRCUITS, SUITE, TABLE23_NAMES
 from repro.core.dag_mapper import map_dag
@@ -74,30 +74,34 @@ def _cmd_map(args: argparse.Namespace) -> int:
     subject = decompose_network(net, style=args.decompose)
     kind = MatchKind(args.match)
     arrivals = _parse_arrivals(args.arrivals)
-    cache = not args.no_cache
     if args.mode == "dag":
         result = map_dag(subject, library, kind=kind,
-                         max_variants=args.variants, arrival_times=arrivals,
-                         cache=cache, engine=args.engine)
+                         max_variants=args.variants, arrival_times=arrivals)
     else:
         result = map_tree(subject, library, max_variants=args.variants,
-                          arrival_times=arrivals, cache=cache,
-                          engine=args.engine)
+                          arrival_times=arrivals)
     if args.verify:
         check_equivalent(net, result.netlist)
     print(f"circuit   : {net.name}")
     print(f"mode      : {result.mode} ({result.match_kind} matches)")
-    print(f"engine    : {result.engine}")
     print(f"library   : {result.library}")
     print(f"subject   : {subject.n_gates} NAND2/INV nodes")
     print(f"delay     : {result.delay:.3f}")
     print(f"area      : {result.area:.2f} ({result.netlist.gate_count()} gates)")
     print(f"cpu       : {result.cpu_seconds:.3f}s ({result.n_matches} matches)")
-    if cache and result.counters and result.counters.get("signature_hits") is not None:
+    counters = result.counters
+    if counters:
         print(f"cache     : signature hit rate "
-              f"{result.counters.get('signature_hit_rate', 0.0):.2f} "
-              f"({int(result.counters['signature_hits'])} hits / "
-              f"{int(result.counters['signature_misses'])} misses)")
+              f"{counters.get('signature_hit_rate', 0.0):.2f} "
+              f"({int(counters['signature_hits'])} hits / "
+              f"{int(counters['signature_misses'])} misses)")
+        if counters["cut_filter_nodes"]:
+            print(f"filter    : cut filter on at "
+                  f"{int(counters['cut_filter_nodes'])} nodes, "
+                  f"{int(counters['cut_patterns_pruned'])} candidate "
+                  f"patterns pruned")
+        else:
+            print("filter    : cut filter off")
     if args.verify:
         print("verified  : equivalent to the source network")
     if args.path:
@@ -144,7 +148,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     arrivals = _parse_arrivals(args.arrivals)
     base = map_dag(decompose_network(base_net, style=args.decompose),
                    library, kind=kind, max_variants=args.variants,
-                   arrival_times=arrivals, engine=args.engine)
+                   arrival_times=arrivals)
     eco = eco_remap(base, edited_net, library, arrival_times=arrivals,
                     max_variants=args.variants, decompose=args.decompose)
     result = eco.result
@@ -152,7 +156,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
           f"(delay {base.delay:.3f}, area {base.area:.2f})")
     print(f"edited    : {edited_net.name}")
     print(f"mode      : {result.mode} ({result.match_kind} matches)")
-    print(f"engine    : {result.engine}")
     print(f"library   : {result.library}")
     print(f"reused    : {eco.nodes_reused} nodes "
           f"({100.0 * eco.reuse_fraction:.1f}% clean)")
@@ -165,7 +168,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
         scratch = map_dag(decompose_network(edited_net, style=args.decompose),
                           library, kind=kind, max_variants=args.variants,
-                          arrival_times=arrivals, engine=args.engine)
+                          arrival_times=arrivals)
         identical = (result.delay == scratch.delay
                      and result.area == scratch.area
                      and dumps_mapped_blif(result.netlist)
@@ -217,7 +220,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     names = TABLE23_NAMES if args.fast else None
     stats = RunStats()
     common = dict(verify=not args.no_verify, jobs=args.jobs,
-                  cache=not args.no_cache, engine=args.engine,
                   cell_timeout=args.cell_timeout, retries=args.retries,
                   journal=args.journal, resume=args.resume, stats=stats)
     started = time.perf_counter()
@@ -239,8 +241,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.bench_json:
         from repro.perf.benchjson import rows_to_records, write_bench_json
 
-        extra = {"table": args.number, "cache": not args.no_cache,
-                 "engine": args.engine}
+        extra: Dict[str, object] = {"table": args.number}
         if failed or args.journal or args.resume or args.cell_timeout:
             extra["run_stats"] = stats.as_dict()
         write_bench_json(
@@ -630,7 +631,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             library=args.library,
             mode=args.mode,
             kind=args.match,
-            engine=args.engine,
             max_variants=args.variants,
             verify=args.verify,
             check=args.check,
@@ -648,7 +648,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             inputs=args.inputs,
             mode=args.mode,
             kind=args.match,
-            engine=args.engine,
             max_variants=args.variants,
             verify=args.verify,
             check=args.check,
@@ -732,7 +731,6 @@ def _lattice_config(args: argparse.Namespace) -> "object":
         targets=targets,
         max_variants=max_variants,
         kind=args.match,
-        engine=args.engine,
         check=not args.no_check,
         verify=args.verify,
         seed=args.seed,
@@ -851,15 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="logic",
                        help="output format: logic BLIF (.names), mapped "
                             "BLIF (.gate) or structural Verilog")
-    p_map.add_argument("--no-cache", action="store_true",
-                       help="disable the signature/trie matching caches "
-                            "(reference path; identical results)")
-    p_map.add_argument("--engine", choices=("structural", "cuts"),
-                       default="structural",
-                       help="candidate-pattern engine: try every pattern "
-                            "(structural) or pre-filter via k-feasible "
-                            "cuts and the NPN class table (cuts; "
-                            "identical results, standard/exact only)")
     p_map.add_argument("--verify", action="store_true",
                        help="simulate mapped vs source network")
     p_map.add_argument("--path", action="store_true",
@@ -887,8 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "genlib path")
     p_eco.add_argument("--match", choices=("standard", "exact", "extended"),
                        default="standard")
-    p_eco.add_argument("--engine", choices=("structural", "cuts"),
-                       default="structural")
     p_eco.add_argument("--variants", type=int, default=8,
                        help="pattern decomposition variants per gate")
     p_eco.add_argument("--decompose", choices=("balanced", "linear"),
@@ -922,14 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--jobs", "-j", type=int, default=1,
                        help="worker processes for the suite cells "
                             "(parallel rows are identical to serial)")
-    p_tab.add_argument("--no-cache", action="store_true",
-                       help="disable the signature/trie matching caches "
-                            "(reference path)")
-    p_tab.add_argument("--engine", choices=("structural", "cuts"),
-                       default="structural",
-                       help="matcher candidate engine (identical rows; "
-                            "'cuts' pre-filters patterns per node via "
-                            "the NPN class table)")
     p_tab.add_argument("--bench-json", metavar="FILE",
                        help="also write wall times and cache counters "
                             "as JSON (BENCH_mapper.json schema)")
@@ -1076,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a batch of mapping jobs over warm workers",
         description="Run many mapping jobs through the streaming "
                     "campaign engine: a long-lived worker pool that "
-                    "builds each (library, variants, kind, engine) "
+                    "builds each (library, variants, kind) "
                     "cache bundle once per worker and reuses it across "
                     "jobs, with size sharding, backpressure and "
                     "journal-based resume.  Jobs come from a JSONL "
@@ -1098,8 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cg.add_argument("--mode", choices=("dag", "tree", "eco"), default="dag")
     p_cg.add_argument("--match", choices=("standard", "exact", "extended"),
                       default="standard")
-    p_cg.add_argument("--engine", choices=("structural", "cuts"),
-                      default="structural")
     p_cg.add_argument("--variants", type=int, default=8)
     p_cg.add_argument("--verify", action="store_true",
                       help="simulation-check every mapped netlist against "
@@ -1159,8 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sweeps several values")
         p.add_argument("--match", choices=("standard", "exact", "extended"),
                        default="standard")
-        p.add_argument("--engine", choices=("structural", "cuts"),
-                       default="structural")
         p.add_argument("--seed", type=int, default=None,
                        help="variant-generation seed (default: "
                             "REPRO_TUNE_SEED or 2024)")

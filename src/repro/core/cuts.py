@@ -1,15 +1,16 @@
 """k-feasible cut enumeration on NAND2-INV subject graphs.
 
-The cut-based matching engine (``Matcher(engine="cuts")``) needs, at
-every subject node, the set of small *cuts* — leaf sets that separate the
-node from the primary inputs — together with the packed truth table of
-the cone function each cut induces.  This module provides the enumerator
-and the cone evaluation; :mod:`repro.library.npn_table` canonicalises the
-functions and owns the library side.
+The matcher's cut filter (:class:`repro.core.match.Matcher`) needs, at
+every signature-miss subject node, the set of small *cuts* — leaf sets
+that separate the node from the primary inputs — together with the
+packed truth table of the cone function each cut induces.  This module
+provides the enumerators and the cone evaluation;
+:mod:`repro.library.npn_table` classifies the functions by NPN class and
+owns the library side.
 
-Two enumeration modes share one bottom-up merge:
+Two enumeration modes share one merge step (:func:`merge_step`):
 
-* ``dominance=False`` (the engine's mode): *all* k-feasible cuts are
+* ``dominance=False`` (the filter's mode): *all* k-feasible cuts are
   kept, deduplicated by leaf set with the **minimum derivation depth**
   retained — the matching filter needs depth because a pattern truncated
   at height ``t`` can only map onto a cut derivable within ``t`` merge
@@ -29,6 +30,10 @@ The derivation depth of a cut is 0 for the trivial cut ``{node}`` and
 ``1 + max`` over the fanin cuts it merges, minimised over derivations.
 A cut may be derivable both shallowly and deeply; keeping the minimum is
 what makes the matching filter sound (see ``repro.library.npn_table``).
+
+:func:`enumerate_cuts` runs the merge bottom-up over the whole subject;
+:class:`LazyCuts` runs it on demand below the nodes the filter queries,
+which is what the matcher uses.
 """
 
 from __future__ import annotations
@@ -40,12 +45,14 @@ from repro.errors import NetworkError
 from repro.network.functions import variable_bits
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 
-__all__ = ["CutEnumeration", "cut_function", "enumerate_cuts"]
+__all__ = [
+    "CutEnumeration", "LazyCuts", "cut_function", "enumerate_cuts", "merge_step",
+]
 
 #: A cut is the frozenset of its leaf nodes.
 Cut = FrozenSet[SubjectNode]
 
-#: Default per-node cut cap for the engine mode (beyond it: taint).
+#: Default per-node cut cap for the filter mode (beyond it: taint).
 DEFAULT_MAX_CUTS = 128
 
 
@@ -89,10 +96,10 @@ def enumerate_cuts(
 
     Args:
         subject: the NAND2-INV subject graph.
-        k: cut-size bound (the engine uses the NPN table's width, <= 6).
+        k: cut-size bound (the matcher uses the NPN table's width, <= 6).
         max_depth: drop cuts whose minimum derivation depth exceeds this
-            (engine mode; ``None`` keeps everything).
-        max_cuts: per-node cap.  In engine mode exceeding it truncates
+            (filter mode; ``None`` keeps everything).
+        max_cuts: per-node cap.  In filter mode exceeding it truncates
             the set and taints the node; in dominance mode it caps after
             pruning, like the FlowMap enumerator's ``max_cuts``.
         dominance: prune dominated cuts (supersets of kept cuts).
@@ -105,40 +112,117 @@ def enumerate_cuts(
     cuts: Dict[int, Dict[Cut, int]] = {}
     tainted: Set[int] = set()
     for node in subject.topological():
-        trivial: Cut = frozenset((node,))
-        if node.is_pi:
-            cuts[node.uid] = {trivial: 0}
-            continue
-        taint = False
-        acc: Dict[Cut, int] = {frozenset(): -1}
-        for fanin in node.fanins:
-            if fanin.uid in tainted:
-                taint = True
-            fanin_cuts = cuts[fanin.uid]
-            nxt: Dict[Cut, int] = {}
-            for c1, d1 in acc.items():
-                for c2, d2 in fanin_cuts.items():
-                    d2 += 1
-                    if max_depth is not None and d2 > max_depth:
-                        continue
-                    merged = c1 | c2
-                    if len(merged) > k:
-                        continue
-                    depth = d1 if d1 >= d2 else d2
-                    old = nxt.get(merged)
-                    if old is None or depth < old:
-                        nxt[merged] = depth
-            acc = nxt
-        if dominance:
-            acc = _prune_dominated(acc, max_cuts)
-        elif len(acc) > max_cuts:
-            acc = dict(list(acc.items())[:max_cuts])
-            taint = True
-        acc[trivial] = 0
-        if taint:
+        node_cuts, truncated = merge_step(
+            node, [cuts[f.uid] for f in node.fanins], k, max_depth,
+            max_cuts, dominance,
+        )
+        if truncated or any(f.uid in tainted for f in node.fanins):
             tainted.add(node.uid)
-        cuts[node.uid] = acc
+        cuts[node.uid] = node_cuts
     return CutEnumeration(k=k, max_depth=max_depth, cuts=cuts, tainted=tainted)
+
+
+def merge_step(
+    node: SubjectNode,
+    fanin_cuts: Sequence[Dict[Cut, int]],
+    k: int,
+    max_depth: Optional[int],
+    max_cuts: int = DEFAULT_MAX_CUTS,
+    dominance: bool = False,
+) -> Tuple[Dict[Cut, int], bool]:
+    """The cut set of one node from its fanins' sets, and its truncation.
+
+    Every combination of one cut per fanin whose union has at most ``k``
+    leaves becomes a cut of ``node`` at depth ``1 + max`` of the merged
+    depths, minimised per leaf set; fanin cuts that would land deeper
+    than ``max_depth`` are skipped.  The trivial cut ``{node}`` is added
+    at depth 0.  The flag is true when the filter-mode cap dropped cuts.
+    """
+    trivial: Cut = frozenset((node,))
+    if not node.fanins:
+        return {trivial: 0}, False
+    acc: Dict[Cut, int] = {frozenset(): -1}
+    for fanin_set in fanin_cuts:
+        nxt: Dict[Cut, int] = {}
+        for c1, d1 in acc.items():
+            for c2, d2 in fanin_set.items():
+                d2 += 1
+                if max_depth is not None and d2 > max_depth:
+                    continue
+                merged = c1 | c2
+                if len(merged) > k:
+                    continue
+                depth = d1 if d1 >= d2 else d2
+                old = nxt.get(merged)
+                if old is None or depth < old:
+                    nxt[merged] = depth
+        acc = nxt
+    truncated = False
+    if dominance:
+        acc = _prune_dominated(acc, max_cuts)
+    elif len(acc) > max_cuts:
+        acc = dict(list(acc.items())[:max_cuts])
+        truncated = True
+    acc[trivial] = 0
+    return acc, truncated
+
+
+class LazyCuts:
+    """Filter-mode cut sets of one subject, computed on first query.
+
+    :meth:`at` returns what :func:`enumerate_cuts` with the same ``k``
+    and ``max_depth`` holds at the queried node — but only walks the
+    ``max_depth`` levels of cone below it, because a cut of depth
+    ``<= d`` merges fanin cuts of depth ``<= d - 1``.  Each level down
+    the walk therefore asks for one less depth (the *budget*).  A node
+    keeps the set of the largest budget computed so far; a smaller
+    budget reuses it, since the merge step skips the deeper cuts.
+
+    Taint follows :func:`enumerate_cuts`: a node whose set, or some
+    fanin set it merged, was truncated is tainted.  An untainted node's
+    set is complete, so it equals the eager enumeration's set wherever
+    that one is untainted too.
+    """
+
+    def __init__(self, k: int, max_depth: int, max_cuts: int = DEFAULT_MAX_CUTS):
+        self.k = k
+        self.max_depth = max_depth
+        self.max_cuts = max_cuts
+        # uid -> (budget, cut set, tainted)
+        self._memo: Dict[int, Tuple[int, Dict[Cut, int], bool]] = {}
+
+    def __len__(self) -> int:
+        """Number of nodes whose cut set has been computed."""
+        return len(self._memo)
+
+    def at(
+        self, node: SubjectNode, budget: Optional[int] = None
+    ) -> Tuple[Dict[Cut, int], bool]:
+        """``(cuts, tainted)`` of ``node`` down to depth ``budget``.
+
+        ``budget`` defaults to ``max_depth``.  The returned set may hold
+        deeper cuts left from an earlier, larger budget.
+        """
+        if budget is None:
+            budget = self.max_depth
+        hit = self._memo.get(node.uid)
+        if hit is not None and hit[0] >= budget:
+            return hit[1], hit[2]
+        if budget <= 0:
+            entry = (budget, {frozenset((node,)): 0}, False)
+        else:
+            fanin_sets = []
+            taint = False
+            for fanin in node.fanins:
+                fanin_cuts, fanin_taint = self.at(fanin, budget - 1)
+                fanin_sets.append(fanin_cuts)
+                taint = taint or fanin_taint
+            cuts, truncated = merge_step(
+                node, fanin_sets, self.k, budget, self.max_cuts
+            )
+            entry = (budget, cuts, taint or truncated)
+        self._memo[node.uid] = entry
+        return entry[1], entry[2]
 
 
 def _prune_dominated(acc: Dict[Cut, int], max_cuts: int) -> Dict[Cut, int]:
@@ -205,7 +289,7 @@ def cut_words(
 ) -> Dict[Tuple[Cut, int], int]:
     """Helper for tests: {(cut, depth) -> function bits} at one node.
 
-    Leaves are ordered by uid, matching what the matching engine does.
+    Leaves are ordered by uid, matching what the cut filter does.
     The trivial cut is skipped (its function is the single variable).
     """
     out: Dict[Tuple[Cut, int], int] = {}

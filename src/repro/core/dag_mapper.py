@@ -37,10 +37,8 @@ def map_dag(
     arrival_times: Optional[Dict[str, float]] = None,
     objective: str = "delay",
     max_variants: int = 16,
-    cache: bool = True,
     matcher: Optional[Matcher] = None,
     check: bool = False,
-    engine: str = "structural",
     reuse: Optional[ReuseHook] = None,
 ) -> MappingResult:
     """Map a subject DAG directly, without tree decomposition.
@@ -57,17 +55,14 @@ def map_dag(
         objective: ``'delay'`` (the paper) or ``'area'`` (heuristic
             area-flow covering for comparison experiments).
         max_variants: pattern-decomposition variants per gate.
-        cache: enable the :mod:`repro.perf` matching caches (identical
-            results; ``False`` selects the seed reference path).
         matcher: optional pre-built :class:`repro.core.match.Matcher`
-            reused across circuits (amortises its signature cache).
+            reused across circuits (amortises its signature cache), or
+            one built with non-default options such as the
+            ``cache=False`` reference path.
         check: certify the result via :mod:`repro.check` before
             returning; the report is attached as ``result.certificate``
             and :class:`~repro.errors.CertificateError` is raised when
             it contains error-severity diagnostics.
-        engine: candidate-pattern engine when ``matcher`` is ``None`` —
-            ``'structural'`` or ``'cuts'`` (NPN-table cut filter, same
-            result, rejects EXTENDED; see :class:`~repro.core.match.Matcher`).
         reuse: optional ECO splice hook forwarded to
             :func:`repro.core.labeling.compute_labels`; used by
             :func:`repro.eco.eco_remap` to retain labels of clean cones.
@@ -84,9 +79,7 @@ def map_dag(
         kind=kind,
         arrival_times=arrival_times,
         objective=objective,
-        cache=cache,
         matcher=matcher,
-        engine=engine,
         reuse=reuse,
     )
     netlist = build_cover(labels, name=f"{subject.name}_dag")
@@ -107,7 +100,6 @@ def map_dag(
         library=patterns.library.name,
         n_matches=labels.n_matches,
         counters=labels.match_stats,
-        engine=matcher.engine if matcher is not None else engine,
     )
     if check:
         from repro.check.certificate import attach_certificate

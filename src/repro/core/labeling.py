@@ -95,9 +95,7 @@ def compute_labels(
     objective: str = "delay",
     keep_matches: bool = False,
     boundary_uids: Optional[Set[int]] = None,
-    cache: bool = True,
     matcher: Optional[Matcher] = None,
-    engine: str = "structural",
     reuse: Optional[ReuseHook] = None,
 ) -> Labels:
     """Label every subject node with its optimal cost and best match.
@@ -115,17 +113,13 @@ def compute_labels(
         boundary_uids: for the area objective, subject uids whose area is
             accounted elsewhere (tree leaves); their label contributes 0
             to covering matches.
-        cache: enable the :mod:`repro.perf` layer (signature memoization
-            and pattern-trie sharing).  ``False`` runs the seed reference
-            path; both produce identical labels.
         matcher: reuse a pre-built matcher (its signature cache is
             subject-independent, so sharing one across circuits amortises
             both the trie construction and the memoized match sets).
             Must have been constructed with the same patterns and kind.
-        engine: candidate-pattern engine when ``matcher`` is ``None`` —
-            ``'structural'`` (try every pattern) or ``'cuts'`` (the
-            NPN-table cut filter of :class:`~repro.core.match.Matcher`).
-            Both produce identical labels; ``'cuts'`` rejects EXTENDED.
+            ``None`` builds a default :class:`~repro.core.match.Matcher`;
+            ``Matcher(patterns, kind, cache=False)`` is the reference
+            path, which produces identical labels.
         reuse: optional ECO splice hook (:data:`ReuseHook`).  Consulted
             for every internal node *before* matching; when it returns a
             ``(arrival, area_flow, match)`` triple the node's label is
@@ -159,7 +153,7 @@ def compute_labels(
             )
 
     if matcher is None:
-        matcher = Matcher(patterns, kind, cache=cache, engine=engine)
+        matcher = Matcher(patterns, kind)
     matcher.attach(subject)
     arrival: List[float] = [0.0] * n
     area_flow: List[float] = [0.0] * n

@@ -29,14 +29,13 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, cast
 
-from repro.core.cuts import CutEnumeration, cut_function, enumerate_cuts
+from repro.core.cuts import LazyCuts, cut_function
 from repro.errors import MappingError
 from repro.library.gate import Gate
 from repro.library.npn_table import Chain, NPNTable, Shape, table_for
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.bitsim import cone_words
-from repro.network.functions import TruthTable, variable_bits
-from repro.network.npn import npn_canonical
+from repro.network.functions import variable_bits
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
 from repro.perf.signature import cone_signature
@@ -132,6 +131,18 @@ class Match:
         return f"Match({self.gate.name} @ {self.root.uid}; {pins})"
 
 
+#: The cut filter runs only for pattern sets with at least this many
+#: trie binding groups: below it the per-node cut and NPN work costs more
+#: than the binding enumeration it saves (calibration:
+#: docs/PERFORMANCE.md, "Cut filter").
+CUT_FILTER_MIN_GROUPS = 256
+
+#: ... and only on subjects with at least this many gates: a small
+#: subject's few signature misses do not repay the NPN-table build and
+#: the filter's per-matcher set-up.
+CUT_FILTER_MIN_GATES = 64
+
+
 class Matcher:
     """Enumerates matches of a pattern set on a subject graph.
 
@@ -141,23 +152,28 @@ class Matcher:
     and the pattern trie shares binding enumeration and feasibility work
     across patterns.  Both are exact — the produced match lists are
     byte-identical, in content and order, to the uncached path
-    (``cache=False``), which is preserved as the reference implementation.
+    (``cache=False``), which is preserved as the reference implementation
+    (the certificate's independent relabeling runs it).
 
-    ``engine`` selects how candidate patterns are found at a node:
+    On rich libraries a **cut filter** runs in front of the binding
+    enumerator at every signature miss: two sound pre-filters of
+    :mod:`repro.library.npn_table` drop candidate patterns — k-feasible
+    cuts of the subject (:mod:`repro.core.cuts`, computed lazily below
+    the queried node) are classified through the table's chain-orbit
+    map and compared against each pattern's truncation chain
+    (functional filter), and the pattern's depth-capped tree shape must
+    embed into the subject cone's unfolding (structural filter, which
+    sees the NAND2/INV bracketing the functional one cannot).  Both are *sound* for STANDARD/EXACT matches
+    (a pruned pattern provably has no match) and never reorder, so the
+    match stream is byte-identical with or without the filter.
 
-    * ``"structural"`` (default): every pattern with the right root kind
-      is tried, exactly as the paper describes.
-    * ``"cuts"``: two sound pre-filters of
-      :mod:`repro.library.npn_table` run first — k-feasible cuts of the
-      subject (:mod:`repro.core.cuts`) are NPN-canonised and compared
-      against each pattern's truncation chain (functional filter), and
-      the pattern's depth-capped tree shape must embed into the subject
-      cone's unfolding (structural filter, which sees the NAND2/INV
-      bracketing the functional one cannot).  Only surviving patterns
-      reach the binding enumerator.  Both filters are *sound* for
-      STANDARD/EXACT matches (a pruned pattern provably has no match),
-      so the match stream stays byte-identical to the structural engine;
-      EXTENDED matches are not injective and are refused.
+    :meth:`attach` decides per subject whether the filter runs: on the
+    cached path, for non-EXTENDED kinds, when the pattern trie has at
+    least :data:`CUT_FILTER_MIN_GROUPS` groups and the subject at least
+    :data:`CUT_FILTER_MIN_GATES` gates.  ``cut_filter=True``/``False``
+    overrides that rule (differential checks and benchmarks compare the
+    two); forcing it on for EXTENDED matches, which are not injective,
+    raises :class:`~repro.errors.MappingError`.
     """
 
     def __init__(
@@ -167,81 +183,25 @@ class Matcher:
         cache: bool = True,
         stats: Optional[MatchStats] = None,
         crosscheck: bool = False,
-        engine: str = "structural",
-        npn_table: Optional[NPNTable] = None,
+        cut_filter: Optional[bool] = None,
     ):
-        if engine not in ("structural", "cuts"):
+        if cut_filter and kind is MatchKind.EXTENDED:
             raise MappingError(
-                f"unknown matching engine {engine!r}: "
-                "expected 'structural' or 'cuts'"
-            )
-        if engine == "cuts" and kind is MatchKind.EXTENDED:
-            raise MappingError(
-                "the cut matching engine supports standard/exact matches "
-                "only: extended matches are not injective, so the "
+                "the cut filter supports standard/exact matches only: "
+                "extended matches are not injective, so the "
                 "truncation-chain filter is unsound for them"
             )
         self.patterns = patterns
         self.kind = kind
         self.cache = cache
         self.crosscheck = crosscheck
-        self.engine = engine
         self.stats = stats if stats is not None else MatchStats()
-        self._engine_cuts = engine == "cuts"
-        if self._engine_cuts:
-            table = npn_table if npn_table is not None else table_for(patterns)
-            self.npn_table: Optional[NPNTable] = table
-            # Dense chain ids (distinct chains are few — tens for the
-            # 876-pattern 44-3 set) and, per root kind, the chain id of
-            # every pattern in ``for_root`` order, so the per-node filter
-            # is one list index per pattern.
-            chain_id: Dict[Chain, int] = {}
-            cid_of: Dict[int, int] = {}
-            self._chain_entries: List[Chain] = []
-            for pattern, chain in zip(patterns.patterns, table.chains):
-                cid = chain_id.get(chain)
-                if cid is None:
-                    cid = len(self._chain_entries)
-                    chain_id[chain] = cid
-                    self._chain_entries.append(chain)
-                cid_of[id(pattern)] = cid
-            self._chain_ids_by_kind: Dict[NodeType, List[int]] = {
-                root_kind: [cid_of[id(p)] for p in root_patterns]
-                for root_kind, root_patterns in patterns.by_root_kind.items()
-            }
-            # Shape interning: pattern shapes and (in attach) subject
-            # cone unfoldings share one id space, so the structural
-            # embed test memoizes on a pair of small ints.  Key ``None``
-            # marks the atoms — the "?" wildcard (id 0) and the subject
-            # PI marker (id 1); a 1-tuple is an INV, a 2-tuple a NAND
-            # with id-sorted children (equal sub-shapes get equal ids,
-            # so id order is a canonical order).
-            self._shape_intern: Dict[object, int] = {"?": 0, "P": 1}
-            self._shape_keys: List[Optional[Tuple[int, ...]]] = [None, None]
-            sid_of: Dict[int, int] = {}
-            for pattern, shape in zip(patterns.patterns, table.shapes):
-                sid_of[id(pattern)] = self._intern_pattern_shape(shape)
-            self._shape_ids_by_kind: Dict[NodeType, List[int]] = {
-                root_kind: [sid_of[id(p)] for p in root_patterns]
-                for root_kind, root_patterns in patterns.by_root_kind.items()
-            }
-            self._embed_memo: Dict[Tuple[int, int], bool] = {}
-            # Chain verdicts are a function of the node's cut classes
-            # alone, and the filtered pattern list a function of
-            # (verdict list, cone shape, root kind) — both memoized so
-            # structurally repetitive circuits pay the filter once per
-            # distinct cone.
-            self._allowed_by_classes: Dict[
-                FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
-            ] = {}
-            self._no_info: List[bool] = [True] * len(self._chain_entries)
-            self._filtered_memo: Dict[
-                Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
-            ] = {}
-        else:
-            self.npn_table = None
-            self._chain_entries = []
-            self._chain_ids_by_kind = {}
+        self._force_filter = cut_filter
+        #: whether the cut filter runs on the attached subject.
+        self.filter_on = False
+        # Pattern-side filter state, built at the first attach that
+        # turns the filter on (see _build_filter).
+        self._table: Optional[NPNTable] = None
         # Pattern-side fanout counts, needed for the exact-match condition.
         self._pattern_fanout: Dict[int, Dict[int, int]] = {}
         for pattern in patterns.patterns:
@@ -274,7 +234,12 @@ class Matcher:
 
     # ------------------------------------------------------------------
     def attach(self, subject: SubjectGraph) -> None:
-        """Precompute subject-side data (fanout-use counts, depths)."""
+        """Precompute subject-side data (fanout-use counts, depths).
+
+        Also decides whether the cut filter runs on this subject (see
+        the class docstring); its cuts and cone shapes are computed
+        lazily, at the signature misses that consult them.
+        """
         self._uses: List[int] = [0] * len(subject.nodes)
         for node in subject.nodes:
             for fanin in node.fanins:
@@ -299,43 +264,81 @@ class Matcher:
         # key is the interned subtree shape, so every pattern sharing the
         # shape shares the entry.
         self._feasible_cache: Dict[Tuple[int, int], bool] = {}
-        if self._engine_cuts:
-            table = self.npn_table
-            assert table is not None  # engine invariant
-            self._cut_enum: Optional[CutEnumeration] = enumerate_cuts(
-                subject, table.k, max_depth=table.depth_cap
-            )
+        self.filter_on = self._wants_filter(subject)
+        if self.filter_on:
+            table = self._table or self._build_filter()
+            self._cuts = LazyCuts(table.k, table.depth_cap)
             self._allowed_cache: Dict[int, Optional[List[bool]]] = {}
-            # Depth-capped cone unfolding shape of every subject node,
-            # interned into the shared shape space.  d sweeps 1..cap;
-            # at each step a node's shape is its kind over the fanins'
-            # depth-(d-1) shapes, PIs stay atomic.
-            intern = self._intern_shape_key
-            wild, pi_marker = 0, 1
-            topo = subject.topological()
-            prev: List[int] = [wild] * len(subject.nodes)
-            for node in topo:
-                if node.is_pi:
-                    prev[node.uid] = pi_marker
-            for _ in range(table.depth_cap):
-                cur: List[int] = [wild] * len(subject.nodes)
-                for node in topo:
-                    if node.is_pi:
-                        cur[node.uid] = pi_marker
-                    elif node.kind is NodeType.INV:
-                        cur[node.uid] = intern((prev[node.fanins[0].uid],))
-                    else:
-                        a = prev[node.fanins[0].uid]
-                        b = prev[node.fanins[1].uid]
-                        if a > b:
-                            a, b = b, a
-                        cur[node.uid] = intern((a, b))
-                prev = cur
-            self._subject_shape: List[int] = prev
+            # (uid, depth) -> interned cone-unfolding shape id
+            self._cone_shapes: Dict[Tuple[int, int], int] = {}
+
+    def _wants_filter(self, subject: SubjectGraph) -> bool:
+        """The cut-filter rule (see the class docstring)."""
+        if self._force_filter is not None:
+            return self._force_filter
+        return (
+            self._trie is not None
+            and self.kind is not MatchKind.EXTENDED
+            and len(self._trie.groups) >= CUT_FILTER_MIN_GROUPS
+            and subject.n_gates >= CUT_FILTER_MIN_GATES
+        )
 
     # ------------------------------------------------------------------
-    # Cut-engine candidate filter
+    # Cut filter
     # ------------------------------------------------------------------
+    def _build_filter(self) -> NPNTable:
+        """Pattern-side filter state: NPN table, chain ids, shape ids."""
+        patterns = self.patterns
+        table = self._table = table_for(patterns)
+        self._chain_orbits = table.chain_orbits
+        # Dense chain ids (distinct chains are few — tens for the
+        # 876-pattern 44-3 set) and, per root kind, the chain id of
+        # every pattern in ``for_root`` order, so the per-node filter
+        # is one list index per pattern.
+        chain_id: Dict[Chain, int] = {}
+        cid_of: Dict[int, int] = {}
+        self._chain_entries: List[Chain] = []
+        for pattern, chain in zip(patterns.patterns, table.chains):
+            cid = chain_id.get(chain)
+            if cid is None:
+                cid = len(self._chain_entries)
+                chain_id[chain] = cid
+                self._chain_entries.append(chain)
+            cid_of[id(pattern)] = cid
+        self._chain_ids_by_kind: Dict[NodeType, List[int]] = {
+            root_kind: [cid_of[id(p)] for p in root_patterns]
+            for root_kind, root_patterns in patterns.by_root_kind.items()
+        }
+        # Shape interning: pattern shapes and subject cone unfoldings
+        # share one id space, so the structural embed test memoizes on a
+        # pair of small ints.  Key ``None`` marks the atoms — the "?"
+        # wildcard (id 0) and the subject PI marker (id 1); a 1-tuple is
+        # an INV, a 2-tuple a NAND with id-sorted children (equal
+        # sub-shapes get equal ids, so id order is a canonical order).
+        self._shape_intern: Dict[object, int] = {"?": 0, "P": 1}
+        self._shape_keys: List[Optional[Tuple[int, ...]]] = [None, None]
+        sid_of: Dict[int, int] = {}
+        for pattern, shape in zip(patterns.patterns, table.shapes):
+            sid_of[id(pattern)] = self._intern_pattern_shape(shape)
+        self._shape_ids_by_kind: Dict[NodeType, List[int]] = {
+            root_kind: [sid_of[id(p)] for p in root_patterns]
+            for root_kind, root_patterns in patterns.by_root_kind.items()
+        }
+        self._embed_memo: Dict[Tuple[int, int], bool] = {}
+        # Chain verdicts are a function of the node's cut classes
+        # alone, and the filtered pattern list a function of
+        # (verdict list, cone shape, root kind) — both memoized so
+        # structurally repetitive circuits pay the filter once per
+        # distinct cone.
+        self._allowed_by_classes: Dict[
+            FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
+        ] = {}
+        self._no_info: List[bool] = [True] * len(self._chain_entries)
+        self._filtered_memo: Dict[
+            Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
+        ] = {}
+        return table
+
     def _intern_shape_key(self, key: object) -> int:
         sid = self._shape_intern.get(key)
         if sid is None:
@@ -358,6 +361,35 @@ class Matcher:
             a, b = b, a
         return self._intern_shape_key((a, b))
 
+    def _cone_shape(self, node: SubjectNode, depth: int) -> int:
+        """Interned depth-``depth`` unfolding shape of the cone at ``node``.
+
+        A PI is the PI marker at any depth, and any other node at depth
+        0 the wildcard; otherwise the shape is the node's kind over its
+        fanins' depth-``depth - 1`` shapes.  Memoized per attached
+        subject.
+        """
+        if node.is_pi:
+            return 1
+        if depth == 0:
+            return 0
+        memo_key = (node.uid, depth)
+        sid = self._cone_shapes.get(memo_key)
+        if sid is None:
+            fanins = node.fanins
+            if node.kind is NodeType.INV:
+                sid = self._intern_shape_key(
+                    (self._cone_shape(fanins[0], depth - 1),)
+                )
+            else:
+                a = self._cone_shape(fanins[0], depth - 1)
+                b = self._cone_shape(fanins[1], depth - 1)
+                if a > b:
+                    a, b = b, a
+                sid = self._intern_shape_key((a, b))
+            self._cone_shapes[memo_key] = sid
+        return sid
+
     def _embed(self, pid: int, sid: int) -> bool:
         """Can the truncated pattern shape embed into the subject cone?
 
@@ -365,8 +397,8 @@ class Matcher:
         are preserved, and a pattern inner node can never sit on a PI),
         checked against the subject's depth-capped unfolding.  The "?"
         wildcard (pattern leaves and the truncation boundary) embeds
-        anywhere; NAND children try both pairings.  Memoized globally —
-        shape ids are stable across subjects.
+        anywhere; NAND children try both pairings.  Memoized across
+        subjects — shape ids are stable.
         """
         if pid == 0:  # wildcard
             return True
@@ -398,34 +430,34 @@ class Matcher:
         """Which truncation chains are satisfiable at ``snode``.
 
         Indexed by dense chain id; ``None`` means "no information" (the
-        cut enumeration was truncated at or below this node, so every
-        pattern must be tried).  Cached per subject uid.
+        cut set was truncated at or below this node, so every pattern
+        must be tried).  Cached per subject uid.
         """
         cache = self._allowed_cache
         if snode.uid in cache:
             return cache[snode.uid]
         stats = self.stats
-        enum = self._cut_enum
-        assert enum is not None  # attach() ran
-        if snode.uid in enum.tainted:
+        cuts, tainted = self._cuts.at(snode)
+        if tainted:
             stats.cut_tainted_nodes += 1
             cache[snode.uid] = None
             return None
         stats.cut_filter_nodes += 1
-        # NPN class -> minimum derivation depth over the node's cuts.
+        # Chain class -> minimum derivation depth over the node's cuts.
+        # A cut function outside the chain-orbit map is in no chain's
+        # NPN class, so it cannot satisfy any chain entry.
+        orbits = self._chain_orbits
         classes: Dict[Tuple[int, int], int] = {}
-        for cut, depth in enum.at(snode).items():
+        for cut, depth in cuts.items():
             if len(cut) == 1 and next(iter(cut)) is snode:
                 continue  # trivial cut: carries no functional information
             order = sorted(cut, key=lambda leaf: leaf.uid)
-            n = len(order)
-            canonical, _ = npn_canonical(
-                TruthTable(n, cut_function(snode, order))
-            )
-            class_key = (n, canonical.bits)
-            old = classes.get(class_key)
+            chain_class = orbits.get((len(order), cut_function(snode, order)))
+            if chain_class is None:
+                continue
+            old = classes.get(chain_class)
             if old is None or depth < old:
-                classes[class_key] = depth
+                classes[chain_class] = depth
         # Chain verdicts depend on the classes alone: nodes sharing a
         # class set share one verdict list (by identity, which also
         # keys the filtered-pattern memo).
@@ -448,22 +480,22 @@ class Matcher:
     def _filtered_patterns(self, snode: SubjectNode) -> List[PatternGraph]:
         """Patterns worth trying at ``snode``, in pattern-set order.
 
-        The structural engine returns the full root-kind list; the cut
-        engine drops patterns whose truncation chain no cut of ``snode``
-        can satisfy, and patterns whose tree shape cannot embed into the
-        node's cone unfolding.  Dropping never reorders, so both engines
-        feed the identity dedup the same match stream.  The filtered
-        list is memoized per (chain verdicts, cone shape, root kind).
+        Without the cut filter this is the full root-kind list; with it,
+        patterns whose truncation chain no cut of ``snode`` can satisfy,
+        and patterns whose tree shape cannot embed into the node's cone
+        unfolding, are dropped.  Dropping never reorders, so both feed
+        the identity dedup the same match stream.  The filtered list is
+        memoized per (chain verdicts, cone shape, root kind).
         """
         root_patterns = self.patterns.for_root(snode.kind)
-        if not self._engine_cuts:
+        if not self.filter_on:
             return root_patterns
         allowed = self._allowed_chains(snode)
         if allowed is None:
-            # Tainted cut enumeration: no functional information, but
-            # the shape filter is cut-independent and still sound.
+            # Tainted cut set: no functional information, but the shape
+            # filter is cut-independent and still sound.
             allowed = self._no_info
-        sid = self._subject_shape[snode.uid]
+        sid = self._cone_shape(snode, self._cuts.max_depth)
         memo_key = (id(allowed), sid, snode.kind)
         hit = self._filtered_memo.get(memo_key)
         if hit is None:

@@ -68,7 +68,6 @@ def map_multi_decomposition(
     styles: Sequence[str] = STYLES,
     kind: MatchKind = MatchKind.STANDARD,
     max_variants: int = 8,
-    engine: str = "structural",
 ) -> MultiMapResult:
     """Map under every decomposition style; stitch the best cover per PO.
 
@@ -88,7 +87,7 @@ def map_multi_decomposition(
     po_arrivals: Dict[str, Dict[str, float]] = {}
     for style in styles:
         subject = decompose_network(net, style=style)
-        result = map_dag(subject, patterns, kind=kind, engine=engine)
+        result = map_dag(subject, patterns, kind=kind)
         per_style[style] = result
         po_arrivals[style] = dict(result.labels.po_arrival)
 

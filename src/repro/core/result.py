@@ -29,12 +29,10 @@ class MappingResult:
         match_kind: the match class used.
         library: library name.
         n_matches: matches enumerated during labeling (work measure).
-        engine: candidate-pattern engine the matcher ran
-            (``'structural'`` or ``'cuts'``; both yield identical
-            delay/area — the field records which path produced this run).
         counters: per-run instrumentation from the :mod:`repro.perf`
             layer (signature-cache hits/misses, feasibility-cache hits,
-            bindings enumerated); ``None`` when unavailable.
+            bindings enumerated, cut-filter nodes and pruned patterns);
+            ``None`` when unavailable.
         certificate: the :class:`repro.check.CheckReport` produced when
             the mapper ran with ``check=True``; ``None`` otherwise.
         sim_vectors: random-batch width the certificate's equivalence
@@ -53,7 +51,6 @@ class MappingResult:
     match_kind: str
     library: str
     n_matches: int
-    engine: str = "structural"
     counters: Optional[Dict[str, float]] = None
     certificate: Optional["CheckReport"] = None
     sim_vectors: Optional[int] = None
@@ -68,7 +65,6 @@ class MappingResult:
             "gates": self.netlist.gate_count(),
             "cpu_s": round(self.cpu_seconds, 3),
             "matches": self.n_matches,
-            "engine": self.engine,
         }
         if self.counters is not None:
             out["signature_hit_rate"] = self.counters.get("signature_hit_rate")

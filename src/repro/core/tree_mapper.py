@@ -46,19 +46,15 @@ def map_tree(
     arrival_times: Optional[Dict[str, float]] = None,
     objective: str = "delay",
     max_variants: int = 16,
-    cache: bool = True,
     matcher: Optional[Matcher] = None,
     check: bool = False,
-    engine: str = "structural",
 ) -> MappingResult:
     """Map via conventional tree covering (exact matches, no duplication).
 
-    ``cache``/``matcher`` select and share the :mod:`repro.perf` matching
-    caches exactly as in :func:`repro.core.dag_mapper.map_dag`, and
-    ``check=True`` certifies the result the same way (the report lands on
-    ``result.certificate``; errors raise ``CertificateError``).
-    ``engine`` likewise mirrors :func:`~repro.core.dag_mapper.map_dag`
-    (the cut filter is sound for the EXACT matches used here).
+    ``matcher`` shares or selects the matcher exactly as in
+    :func:`repro.core.dag_mapper.map_dag` (it must use EXACT matches),
+    and ``check=True`` certifies the result the same way (the report
+    lands on ``result.certificate``; errors raise ``CertificateError``).
     """
     if isinstance(library, PatternSet):
         patterns = library
@@ -75,9 +71,7 @@ def map_tree(
         arrival_times=arrival_times,
         objective=objective,
         boundary_uids=boundary,
-        cache=cache,
         matcher=matcher,
-        engine=engine,
     )
     netlist = build_cover(labels, name=f"{subject.name}_tree")
     elapsed = time.perf_counter() - start
@@ -97,7 +91,6 @@ def map_tree(
         library=patterns.library.name,
         n_matches=labels.n_matches,
         counters=labels.match_stats,
-        engine=matcher.engine if matcher is not None else engine,
     )
     if check:
         from repro.check.certificate import attach_certificate

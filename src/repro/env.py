@@ -4,7 +4,7 @@ This module is the *only* place in the package that touches
 ``os.environ`` — the source linter enforces this with code ``S104``
 (see :mod:`repro.check.source`).  Scattered ``os.environ.get`` calls
 made the determinism story unauditable: a knob could silently change a
-byte-compared output (simulation vector counts, cache directories,
+byte-compared output (simulation vector counts, worker-pool budgets,
 fault injection) without showing up in any one inventory.  Here every
 variable has a name, a type, a default and a one-line description, and
 reads go through parse-validating accessors that raise the coded
@@ -79,10 +79,6 @@ REGISTRY: Dict[str, EnvVar] = _registry(
         EnvVar(
             "REPRO_SIM_SEED", "int", "2024",
             "PRNG seed for the random simulation batch",
-        ),
-        EnvVar(
-            "REPRO_NPN_CACHE_DIR", "path", "~/.cache/repro/npn",
-            "persistent side-cache directory for precomputed NPN tables",
         ),
         EnvVar(
             "REPRO_CELL_TIMEOUT", "float", None,

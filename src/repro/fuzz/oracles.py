@@ -20,10 +20,10 @@ repository has accumulated, and every disagreement becomes a coded
 ``F006``  a mapper raised instead of producing a result;
 ``F007``  the generated network (or its subject graph) fails the
           structural linters — a generator defect, not a mapper one;
-``F009``  the cut-enumeration matching engine (``engine="cuts"``)
-          produces a different delay, area or cover than the structural
-          engine on either mapper — the engines are specified to be
-          byte-identical, so any divergence is a filter-soundness bug;
+``F009``  the matcher's cut filter forced on (``Matcher(cut_filter=True)``)
+          produces a different delay, area or cover than forced off on
+          either mapper — the filter only drops patterns that provably
+          cannot match, so any divergence is a filter-soundness bug;
 ``F010``  area recovery or multimap violates its contract: a recovered
           cover fails the target-aware mapping certificate, misses its
           delay budget or is larger than the plain cover, or the
@@ -33,7 +33,8 @@ repository has accumulated, and every disagreement becomes a coded
           edit script is derived from the circuit, applied, and
           :func:`repro.eco.eco_remap` of the edited network against the
           unmutated base mapping must be byte-identical (delay, area,
-          mapped-BLIF cover) to a fresh ``map_dag`` — per engine.
+          mapped-BLIF cover) to a fresh ``map_dag`` — once per forced
+          cut-filter state.
 
 The battery never raises on a failing circuit; it reports.  Deterministic
 fault injection for tests and CI mirrors the worker pool's
@@ -42,7 +43,7 @@ fault injection for tests and CI mirrors the worker pool's
     REPRO_FUZZ_INJECT=delay    # mis-report the DAG delay (F001/F004)
     REPRO_FUZZ_INJECT=cover    # corrupt one selected match (F004, F002)
     REPRO_FUZZ_INJECT=corrupt  # functionally corrupt one output (F002)
-    REPRO_FUZZ_INJECT=engine   # skew the cut-engine re-map (F009)
+    REPRO_FUZZ_INJECT=engine   # skew the filtered re-map (F009)
     REPRO_FUZZ_INJECT=eco      # skew the incremental re-map (F011)
 
 Each mutation is applied to the mapping result *inside* the battery, so
@@ -100,9 +101,10 @@ class OracleConfig:
             size (random covers get slow and weak on big graphs).
         scalar_max_inputs: skip the scalar/packed differential (F003)
             above this input count (the scalar engine is ~100x slower).
-        cross_engines: run the F009 structural-vs-cuts differential
-            (skipped automatically for the extended match class, which
-            the cut engine refuses by design).
+        cross_engines: run the F009 filter-on-vs-off differential, and
+            F011 with the filter forced on as well as off (both skipped
+            for the extended match class, which the filter refuses by
+            design).
         contract_max_gates: skip the F010 recovery/multimap contract
             probe above this subject size (multimap maps the circuit
             once per decomposition style).
@@ -287,69 +289,76 @@ def _cover_multiset(result: MappingResult) -> List[Tuple[str, Tuple[str, ...]]]:
     )
 
 
-def _check_engine_agreement(
+def _forced(patterns: PatternSet, kind: MatchKind, cut_filter: bool) -> Matcher:
+    """A fresh matcher with the cut filter forced on or off."""
+    return Matcher(patterns, kind, cut_filter=cut_filter)
+
+
+def _check_filter_agreement(
     report: CheckReport,
     subject: SubjectGraph,
     patterns: PatternSet,
     kind: MatchKind,
-    tree_result: MappingResult,
-    dag_result: MappingResult,
     inject: Optional[str],
 ) -> None:
-    """F009: the cut engine must reproduce the structural engine's result.
+    """F009: the cut filter must not change any mapping result.
 
-    Re-maps the subject with ``engine="cuts"`` (both mappers) and
-    compares delay, area and the selected cover against the structural
-    results.  The engines are specified byte-identical for
-    standard/exact matches, so any divergence is an error; extended
-    matches are skipped (the cut engine refuses them).  Runs *before*
-    any result mutation so the other injection modes cannot trip it.
+    Maps the subject with the filter forced on and forced off (both
+    mappers, whatever the matcher's own rule would choose) and compares
+    delay, area and the selected cover.  The filter only drops patterns
+    that provably cannot match standard/exact matches, so any
+    divergence is an error; extended matches are skipped (the filter
+    refuses them).  Independent of the battery's main results, so the
+    other injection modes cannot trip it.
     """
     if kind is MatchKind.EXTENDED:
         return
-    pairs = (
-        ("tree", tree_result,
-         lambda: map_tree(subject, patterns, engine="cuts")),
-        ("DAG", dag_result,
-         lambda: map_dag(subject, patterns, kind=kind, engine="cuts")),
-    )
-    for tag, structural, remap in pairs:
+
+    def remap(tag: str, cut_filter: bool) -> MappingResult:
+        if tag == "tree":
+            return map_tree(subject, patterns, matcher=_forced(
+                patterns, MatchKind.EXACT, cut_filter))
+        return map_dag(subject, patterns, kind=kind, matcher=_forced(
+            patterns, kind, cut_filter))
+
+    for tag in ("tree", "DAG"):
         try:
-            cut = remap()
+            plain = remap(tag, False)
+            filtered = remap(tag, True)
         except Exception as exc:
             report.add(
                 "F009",
-                f"{tag} cut-engine mapping raised "
+                f"{tag} mapping with the cut filter forced raised "
                 f"{type(exc).__name__}: {exc}",
                 obj=subject.name,
             )
             continue
         if inject == "engine":
-            cut.delay += 1.0
+            filtered.delay += 1.0
             report.meta["inject"] = "engine"
             report.meta["inject_detail"] = (
-                "cut-engine reported delay inflated by 1.0"
+                "filtered re-map reported delay inflated by 1.0"
             )
-        if abs(cut.delay - structural.delay) > _EPS:
+        if abs(filtered.delay - plain.delay) > _EPS:
             report.add(
                 "F009",
-                f"{tag} delay diverges: cuts {cut.delay:.4f} != "
-                f"structural {structural.delay:.4f}",
+                f"{tag} delay diverges: filter on {filtered.delay:.4f} != "
+                f"off {plain.delay:.4f}",
                 obj=subject.name,
             )
             continue
-        if abs(cut.area - structural.area) > _EPS:
+        if abs(filtered.area - plain.area) > _EPS:
             report.add(
                 "F009",
-                f"{tag} area diverges: cuts {cut.area:.4f} != "
-                f"structural {structural.area:.4f}",
+                f"{tag} area diverges: filter on {filtered.area:.4f} != "
+                f"off {plain.area:.4f}",
                 obj=subject.name,
             )
             continue
-        if _cover_multiset(cut) != _cover_multiset(structural):
+        if _cover_multiset(filtered) != _cover_multiset(plain):
             report.add(
                 "F009",
-                f"{tag} cover diverges between engines "
+                f"{tag} cover diverges with the cut filter on and off "
                 f"(same delay/area, different gate selection)",
                 obj=subject.name,
             )
@@ -371,10 +380,10 @@ def _check_eco(
     (:func:`repro.fuzz.generator.derive_edit_seed`, so shrunken
     candidates re-derive valid scripts), applies it, and compares
     ``eco_remap`` against a fresh ``map_dag`` of the edited network —
-    with exact ``==`` on delay, area and the mapped-BLIF text, per
-    engine.  Runs *before* any result mutation, against the unmutated
-    structural base; the ``eco`` injection mode skews the incremental
-    result inside this oracle only.
+    with exact ``==`` on delay, area and the mapped-BLIF text, once per
+    forced cut-filter state.  Runs *before* any result mutation, against
+    the unmutated base mapping; the ``eco`` injection mode skews the
+    incremental result inside this oracle only.
     """
     from repro.eco import eco_remap
     from repro.errors import NetworkError
@@ -389,30 +398,20 @@ def _check_eco(
         return
     report.meta["eco_script"] = script.encode()
 
-    engines = ["structural"]
+    states = [False]
     if config.cross_engines and kind is not MatchKind.EXTENDED:
-        engines.append("cuts")
-    for engine in engines:
-        if engine == "structural":
-            base = dag_result
-        else:
-            try:
-                base = map_dag(subject, patterns, kind=kind, engine="cuts")
-            except Exception as exc:
-                report.add(
-                    "F011",
-                    f"cuts base mapping raised {type(exc).__name__}: {exc}",
-                    obj=net.name,
-                )
-                continue
+        states.append(True)
+    for cut_filter in states:
+        tag = f"filter-{'on' if cut_filter else 'off'}"
         try:
             eco = eco_remap(
-                base, edited, patterns, decompose=config.decompose
+                dag_result, edited, patterns, decompose=config.decompose,
+                matcher=_forced(patterns, kind, cut_filter),
             )
         except Exception as exc:
             report.add(
                 "F011",
-                f"{engine} eco remap raised {type(exc).__name__}: {exc}",
+                f"{tag} eco remap raised {type(exc).__name__}: {exc}",
                 obj=net.name,
             )
             continue
@@ -421,18 +420,18 @@ def _check_eco(
                 decompose_network(edited, style=config.decompose),
                 patterns,
                 kind=kind,
-                engine=engine,
+                matcher=_forced(patterns, kind, cut_filter),
             )
         except Exception as exc:
             report.add(
                 "F011",
-                f"{engine} from-scratch remap raised "
+                f"{tag} from-scratch remap raised "
                 f"{type(exc).__name__}: {exc}",
                 obj=net.name,
             )
             continue
         result = eco.result
-        if inject == "eco" and engine == engines[0]:
+        if inject == "eco" and not cut_filter:
             result.delay += 1.0
             report.meta["inject"] = "eco"
             report.meta["inject_detail"] = (
@@ -441,7 +440,7 @@ def _check_eco(
         if result.delay != scratch.delay:
             report.add(
                 "F011",
-                f"{engine} delay diverges: eco {result.delay!r} != "
+                f"{tag} delay diverges: eco {result.delay!r} != "
                 f"from-scratch {scratch.delay!r} "
                 f"(reused {eco.nodes_reused}/{eco.nodes_reused + eco.nodes_remapped})",
                 obj=net.name,
@@ -449,7 +448,7 @@ def _check_eco(
         elif result.area != scratch.area:
             report.add(
                 "F011",
-                f"{engine} area diverges: eco {result.area!r} != "
+                f"{tag} area diverges: eco {result.area!r} != "
                 f"from-scratch {scratch.area!r}",
                 obj=net.name,
             )
@@ -458,7 +457,7 @@ def _check_eco(
         ):
             report.add(
                 "F011",
-                f"{engine} cover diverges between incremental and "
+                f"{tag} cover diverges between incremental and "
                 f"from-scratch mapping (same delay/area)",
                 obj=net.name,
             )
@@ -721,12 +720,10 @@ def run_battery(
     if dag_result is None or tree_result is None:
         return report
 
-    # F009 runs against the *unmutated* structural results, so the
-    # injection modes below cannot trip it (and "engine" only it).
+    # F009 maps on its own, so the injection modes below cannot trip it
+    # (and "engine" only it).
     if config.cross_engines:
-        _check_engine_agreement(
-            report, subject, patterns, kind, tree_result, dag_result, inject
-        )
+        _check_filter_agreement(report, subject, patterns, kind, inject)
 
     # F011 also runs before mutation: eco reuses the unmutated dag_result
     # as its base mapping, and only the "eco" mode skews it (inside).

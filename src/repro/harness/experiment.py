@@ -96,9 +96,7 @@ def tree_vs_dag_cell(
     patterns: PatternSet,
     kind: MatchKind = MatchKind.STANDARD,
     verify: bool = True,
-    cache: bool = True,
     check: bool = False,
-    engine: str = "structural",
 ) -> ComparisonRow:
     """One (circuit, library) cell of a tree-vs-DAG table: both mappers.
 
@@ -107,15 +105,12 @@ def tree_vs_dag_cell(
     so rows are identical however the cells are scheduled.  ``check=True``
     runs the :mod:`repro.check` certificate on both mapping results
     (raising :class:`~repro.errors.CertificateError` on any error).
-    ``engine`` selects the matcher's candidate engine (``'structural'``
-    or ``'cuts'``); rows are identical either way.
     """
     entry = SUITE[name]
     net = entry.build()
     subject = decompose_network(net)
-    tree = map_tree(subject, patterns, cache=cache, check=check, engine=engine)
-    dag = map_dag(subject, patterns, kind=kind, cache=cache, check=check,
-                  engine=engine)
+    tree = map_tree(subject, patterns, check=check)
+    dag = map_dag(subject, patterns, kind=kind, check=check)
     verified = False
     sim_counters: Optional[Dict[str, float]] = None
     if verify:
@@ -147,25 +142,16 @@ def _suite_bundle_factory() -> Callable[[tuple], Callable[[str], ComparisonRow]]
     """Pool-worker bundle factory for table cells.
 
     The returned ``build`` turns one bundle key — ``(spec, max_variants,
-    kind_value, verify, cache, check, engine)`` — into a runner mapping
-    a circuit name to its :class:`ComparisonRow`.  Building the bundle
-    is the expensive part (pattern trie, and the NPN-class table for
-    the cuts engine), paid once per worker.
+    kind_value, verify, check)`` — into a runner mapping a circuit name
+    to its :class:`ComparisonRow`.  Building the pattern set is the
+    expensive part, paid once per worker.
     """
 
     def build(bundle_key: tuple) -> Callable[[str], ComparisonRow]:
         from repro.perf.parallel import resolve_library
 
-        spec, max_variants, kind_value, verify, cache, check, engine = (
-            bundle_key
-        )
+        spec, max_variants, kind_value, verify, check = bundle_key
         patterns = PatternSet(resolve_library(spec), max_variants=max_variants)
-        if engine == "cuts":
-            # Build (or load from the persistent side-cache) the NPN
-            # table once per bundle, so per-cell mapping never pays it.
-            from repro.library.npn_table import table_for
-
-            table_for(patterns)
         kind = MatchKind(kind_value)
 
         def runner(name: str) -> ComparisonRow:
@@ -174,9 +160,7 @@ def _suite_bundle_factory() -> Callable[[tuple], Callable[[str], ComparisonRow]]
                 patterns,
                 kind=kind,
                 verify=verify,
-                cache=cache,
                 check=check,
-                engine=engine,
             )
 
         return runner
@@ -190,11 +174,9 @@ def run_tree_vs_dag(
     kind: MatchKind = MatchKind.STANDARD,
     max_variants: int = 8,
     verify: bool = True,
-    cache: bool = True,
     jobs: int = 1,
     library_spec: Optional[str] = None,
     check: bool = False,
-    engine: str = "structural",
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     journal: Optional[str] = None,
@@ -242,8 +224,7 @@ def run_tree_vs_dag(
         )
         return [
             tree_vs_dag_cell(
-                name, patterns, kind=kind, verify=verify, cache=cache,
-                check=check, engine=engine,
+                name, patterns, kind=kind, verify=verify, check=check
             )
             for name in names
         ]
@@ -253,7 +234,7 @@ def run_tree_vs_dag(
     resolve_library(library_spec)  # fail fast (R001) before any fork
     bundle = (
         library_spec, int(max_variants), kind.value, bool(verify),
-        bool(cache), bool(check), str(engine),
+        bool(check),
     )
     stream = stream_jobs(
         (

@@ -1,10 +1,11 @@
-"""Library preprocessing for the cut-enumeration matching engine.
+"""Library preprocessing for the matcher's cut filter.
 
-The structural matcher tries every library pattern at every subject
-node; the cut engine (``Matcher(engine="cuts")``) first asks a cheap
-functional question — *could this pattern's function possibly live
-here?* — and only runs the binding enumerator for patterns that survive.
-This module builds everything that question needs, **once per library**:
+The matcher tries every library pattern at every subject node; on rich
+libraries its cut filter (:class:`repro.core.match.Matcher`) first asks
+a cheap functional question — *could this pattern's function possibly
+live here?* — and only runs the binding enumerator for patterns that
+survive.  This module builds everything that question needs, **once per
+pattern set** (:func:`table_for`):
 
 * a *truncation chain* per pattern: for each height ``t`` up to
   ``depth_cap``, truncate the pattern at its nodes of min-distance
@@ -15,7 +16,7 @@ This module builds everything that question needs, **once per library**:
   NPN-equal and whose minimum derivation depth is ``<= t`` — so a
   subject node lacking such a cut can skip the pattern entirely.  (The
   argument needs fanin-multiset-preserving matches, which holds for
-  STANDARD/EXACT; the engine refuses EXTENDED.)
+  STANDARD/EXACT; the filter never runs for EXTENDED.)
 * an *NPN-class -> cells* hash table: every library cell function with
   at most ``cell_limit`` inputs, canonised with
   :func:`repro.network.npn.npn_canonical`, keyed by class with the
@@ -28,28 +29,29 @@ This module builds everything that question needs, **once per library**:
   matcher can also skip patterns whose NAND2/INV *bracketing* cannot
   possibly align — a structural complement to the functional chains,
   which cannot see bracketing at all.
+* a *chain-orbit map*: every function NPN-equivalent to some chain
+  entry, mapped to that entry's ``(n, canonical bits)``.  The matcher
+  looks a subject cut's function up here instead of canonicalising it:
+  a function outside the map is in no chain's class, so it can satisfy
+  no chain entry.  The chains of 44-3 at four variants use ten classes,
+  so the map holds 548 entries.
 
 Building the table costs one NPN canonicalisation per pattern level and
-per cell, so the result is persisted to a JSON side-cache keyed by a
-sha256 over the gate functions, the pattern keys and the build
-parameters (``REPRO_NPN_CACHE_DIR``, default ``~/.cache/repro/npn``) —
-rebuilt from scratch whenever the key or schema changes.
+per cell, plus one orbit walk per chain class — about 0.15 s for the
+876-pattern 44-3 set — and it is built in memory only, at the first
+mapping run that turns the filter on.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import env
 from repro.errors import LibraryError
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.functions import TruthTable, variable_bits
-from repro.network.npn import NPNTransform, npn_canonical
+from repro.network.npn import NPNTransform, apply_transform, npn_canonical
 from repro.network.subject import NodeType
 
 __all__ = [
@@ -60,10 +62,6 @@ __all__ = [
     "pattern_shape",
     "table_for",
 ]
-
-#: Persistent-cache schema; bump on any change to the stored layout or
-#: to the semantics of chains/classes (forces a rebuild).
-SCHEMA = "repro-npn-table/2"
 
 #: Frontier-size bound for chain entries.  Cuts wider than this are
 #: never consulted, so the subject-side enumeration stays k-feasible
@@ -91,8 +89,6 @@ CellEntry = Tuple[str, NPNTransform]
 Shape = Tuple[object, ...]
 
 _WILDCARD: Shape = ("?",)
-
-_CACHE_ENV = "REPRO_NPN_CACHE_DIR"
 
 
 def pattern_chain(
@@ -205,7 +201,6 @@ class NPNTable:
         k: frontier/cut-size bound the chains were built with.
         depth_cap: truncation-height bound.
         cell_limit: max cell input count admitted to ``cell_classes``.
-        key: the persistent-cache key (sha256 hex digest).
         chains: one chain per pattern, aligned with
             ``PatternSet.patterns`` order.
         shapes: one depth-truncated shape per pattern, same alignment
@@ -213,18 +208,17 @@ class NPNTable:
         cell_classes: ``(n, canonical bits) -> cells`` in that class,
             each with the transform mapping the *cell function onto the
             representative*.
-        from_cache: the table was loaded from the side-cache rather
-            than built.
+        chain_orbits: ``(n, function bits) -> (n, canonical bits)`` for
+            every function in the NPN class of some chain entry.
     """
 
     k: int
     depth_cap: int
     cell_limit: int
-    key: str
     chains: Tuple[Chain, ...]
     shapes: Tuple[Shape, ...]
     cell_classes: Dict[Tuple[int, int], Tuple[CellEntry, ...]]
-    from_cache: bool = False
+    chain_orbits: Dict[Tuple[int, int], Tuple[int, int]]
 
     def lookup(self, tt: TruthTable) -> List[Tuple[str, NPNTransform]]:
         """Cells realising ``tt``, with the cut -> cell input transform.
@@ -258,146 +252,6 @@ class NPNTable:
         return self.shapes[index]
 
 
-def _cache_key(
-    patterns: PatternSet, k: int, depth_cap: int, cell_limit: int
-) -> str:
-    """sha256 over everything the table contents depend on."""
-    payload = {
-        "schema": SCHEMA,
-        "k": k,
-        "depth_cap": depth_cap,
-        "cell_limit": cell_limit,
-        "gates": [
-            # hex: wide gate functions overflow the decimal int-to-str limit
-            [gate.name, gate.n_inputs, f"{gate.tt.bits:x}"]
-            for gate in patterns.library
-        ],
-        "patterns": [
-            [p.gate.name, repr(p.key)] for p in patterns.patterns
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _cache_dir(cache_dir: Optional[Path]) -> Path:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    configured = env.read_str(_CACHE_ENV)
-    if configured:
-        return Path(configured)
-    return Path.home() / ".cache" / "repro" / "npn"
-
-
-def _cache_path(directory: Path, key: str) -> Path:
-    return directory / f"npn_{key[:24]}.json"
-
-
-def _serialize(table: NPNTable) -> Dict[str, object]:
-    return {
-        "schema": SCHEMA,
-        "key": table.key,
-        "k": table.k,
-        "depth_cap": table.depth_cap,
-        "cell_limit": table.cell_limit,
-        "chains": [
-            [[t, n, bits] for (t, n, bits) in chain]
-            for chain in table.chains
-        ],
-        "shapes": [_shape_to_json(shape) for shape in table.shapes],
-        "cell_classes": [
-            [
-                n,
-                bits,
-                [
-                    [name, list(tr.perm), tr.input_negations,
-                     bool(tr.output_negate)]
-                    for name, tr in entries
-                ],
-            ]
-            for (n, bits), entries in sorted(table.cell_classes.items())
-        ],
-    }
-
-
-def _shape_to_json(shape: Shape) -> object:
-    return [
-        part if isinstance(part, str) else _shape_to_json(part)  # type: ignore[arg-type]
-        for part in shape
-    ]
-
-
-def _shape_from_json(data: object) -> Shape:
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"malformed shape entry: {data!r}")
-    return tuple(
-        part if isinstance(part, str) else _shape_from_json(part)
-        for part in data
-    )
-
-
-def _deserialize(data: Dict[str, object], key: str) -> Optional[NPNTable]:
-    """The cached table, or ``None`` when stale/corrupt (-> rebuild)."""
-    try:
-        if data["schema"] != SCHEMA or data["key"] != key:
-            return None
-        chains = tuple(
-            tuple((int(t), int(n), int(bits)) for t, n, bits in chain)
-            for chain in data["chains"]  # type: ignore[union-attr]
-        )
-        shapes = tuple(
-            _shape_from_json(shape)
-            for shape in data["shapes"]  # type: ignore[union-attr]
-        )
-        if len(shapes) != len(chains):
-            return None
-        classes: Dict[Tuple[int, int], Tuple[CellEntry, ...]] = {}
-        for n, bits, entries in data["cell_classes"]:  # type: ignore[union-attr]
-            classes[(int(n), int(bits))] = tuple(
-                (
-                    str(name),
-                    NPNTransform(tuple(int(x) for x in perm), int(neg),
-                                 bool(out)),
-                )
-                for name, perm, neg, out in entries
-            )
-        return NPNTable(
-            k=int(data["k"]),  # type: ignore[call-overload]
-            depth_cap=int(data["depth_cap"]),  # type: ignore[call-overload]
-            cell_limit=int(data["cell_limit"]),  # type: ignore[call-overload]
-            key=key,
-            chains=chains,
-            shapes=shapes,
-            cell_classes=classes,
-            from_cache=True,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _load(path: Path, key: str) -> Optional[NPNTable]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    return _deserialize(data, key)
-
-
-def _store(path: Path, table: NPNTable) -> None:
-    """Atomic best-effort write (a failed cache write never fails a build)."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(_serialize(table), handle, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
 def _build_cell_classes(
     patterns: PatternSet, cell_limit: int
 ) -> Dict[Tuple[int, int], Tuple[CellEntry, ...]]:
@@ -412,15 +266,28 @@ def _build_cell_classes(
     return {key: tuple(entries) for key, entries in classes.items()}
 
 
+def _chain_orbits(
+    chains: Iterable[Chain],
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Every function NPN-equivalent to a chain entry -> its class."""
+    orbits: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for n, canonical in sorted({(n, bits) for chain in chains for _t, n, bits in chain}):
+        tt = TruthTable(n, canonical)
+        for perm in permutations(range(n)):
+            for neg in range(1 << n):
+                for out_neg in (False, True):
+                    image = apply_transform(NPNTransform(perm, neg, out_neg), tt)
+                    orbits[(n, image.bits)] = (n, canonical)
+    return orbits
+
+
 def build_npn_table(
     patterns: PatternSet,
     k: int = DEFAULT_K,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     cell_limit: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    use_cache: bool = True,
 ) -> NPNTable:
-    """Build (or load) the NPN table of one pattern set.
+    """Build the NPN table of one pattern set.
 
     Args:
         patterns: the pattern set (the table aligns with its order).
@@ -430,10 +297,7 @@ def build_npn_table(
         cell_limit: admit cells with at most this many inputs into the
             class table (default ``k``; n = 5/6 canonicalisation costs
             tens of ms to half a second per *new* class, so widening
-            beyond 4 is an explicit, persistently-cached choice).
-        cache_dir: side-cache directory (default ``$REPRO_NPN_CACHE_DIR``
-            or ``~/.cache/repro/npn``).
-        use_cache: consult/refresh the persistent side-cache.
+            beyond 4 is an explicit choice).
 
     Raises:
         LibraryError: ``k`` or ``depth_cap`` out of range.
@@ -443,29 +307,20 @@ def build_npn_table(
     if depth_cap < 1:
         raise LibraryError(f"NPN table depth_cap must be >= 1, got {depth_cap}")
     limit = k if cell_limit is None else cell_limit
-    key = _cache_key(patterns, k, depth_cap, limit)
-    path = _cache_path(_cache_dir(cache_dir), key)
-    if use_cache:
-        cached = _load(path, key)
-        if cached is not None:
-            return cached
-    table = NPNTable(
+    chains = tuple(
+        pattern_chain(p, k=k, depth_cap=depth_cap) for p in patterns.patterns
+    )
+    return NPNTable(
         k=k,
         depth_cap=depth_cap,
         cell_limit=limit,
-        key=key,
-        chains=tuple(
-            pattern_chain(p, k=k, depth_cap=depth_cap)
-            for p in patterns.patterns
-        ),
+        chains=chains,
         shapes=tuple(
             pattern_shape(p, depth_cap) for p in patterns.patterns
         ),
         cell_classes=_build_cell_classes(patterns, limit),
+        chain_orbits=_chain_orbits(chains),
     )
-    if use_cache:
-        _store(path, table)
-    return table
 
 
 def table_for(
@@ -473,8 +328,6 @@ def table_for(
     k: int = DEFAULT_K,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     cell_limit: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
-    use_cache: bool = True,
 ) -> NPNTable:
     """The NPN table of ``patterns``, memoized on the pattern set.
 
@@ -491,8 +344,7 @@ def table_for(
     table = memo.get(memo_key)
     if table is None:
         table = build_npn_table(
-            patterns, k=k, depth_cap=depth_cap, cell_limit=cell_limit,
-            cache_dir=cache_dir, use_cache=use_cache,
+            patterns, k=k, depth_cap=depth_cap, cell_limit=cell_limit
         )
         memo[memo_key] = table
     return table

@@ -9,10 +9,10 @@ different functions a library offers — e.g. the 44-3 replica's hundreds
 of gates collapse to far fewer classes, quantifying its redundancy.
 
 The enumeration is exhaustive (``2^n * n! * 2`` transforms), intended for
-the n <= 6 functions that appear as library gates.  Because the cut
-matching engine (:mod:`repro.core.cuts` / :mod:`repro.library.npn_table`)
-canonicalises one function per subject cut, :func:`npn_canonical` is
-memoized behind a process-wide cache keyed on ``(n, bits)``:
+the n <= 6 functions that appear as library gates.  Because the library
+NPN table (:mod:`repro.library.npn_table`) canonicalises one function
+per pattern level and per cell, :func:`npn_canonical` is memoized behind
+a process-wide cache keyed on ``(n, bits)``:
 
 * for n <= 4 a miss *orbit-fills* the memo — every transform image of the
   queried function shares its class, so one exhaustive search stores the

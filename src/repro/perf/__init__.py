@@ -27,7 +27,7 @@ enforced byte-identical to the seed path by the test suite:
   missing.  Table cells (``--jobs N``), campaigns and fuzz seeds are
   its job sources.
 * :mod:`repro.perf.campaign` — mapping campaigns as a job source:
-  heterogeneous (circuit, library, mode, engine) job batches from a
+  heterogeneous (circuit, library, mode, kind) job batches from a
   JSONL manifest or a seeded ensemble, exposed as ``repro-map
   campaign`` and benchmarked by ``benchmarks/bench_throughput.py``.
 

@@ -4,10 +4,10 @@ A *campaign job* is one mapping run — a circuit (suite name, BLIF file
 or generated seed), a library spec, a mapper mode and the matcher
 options — and a campaign is an arbitrarily long stream of such jobs
 fanned over the worker pool of :mod:`repro.perf.parallel`.  Jobs
-sharing a cache bundle key (``library``, ``max_variants``, ``kind``,
-``engine``) reuse the worker's pattern trie / NPN-class table / matcher
-memos instead of rebuilding them per process; that amortisation is the
-whole point (``benchmarks/bench_throughput.py`` gates it).
+sharing a cache bundle key (``library``, ``max_variants``, ``kind``)
+reuse the worker's pattern set — with its memoized NPN-class table —
+instead of rebuilding it per process; that amortisation is the whole
+point (``benchmarks/bench_throughput.py`` gates it).
 
 Results are :class:`CampaignRow` dataclasses whose :meth:`~CampaignRow.stable`
 view (everything except the timing field) is **byte-identical** however
@@ -81,7 +81,6 @@ class CampaignJob:
             remap incrementally, and fail unless the result is
             byte-identical to a from-scratch remap of the edited net).
         kind: match kind for the DAG mapper.
-        engine: matcher candidate engine (``structural``/``cuts``).
         max_variants: pattern variants per gate.
         verify: simulate the mapped netlist against its source.
         check: run the mapping certificate inside the worker (for
@@ -100,7 +99,6 @@ class CampaignJob:
     library: str = "lib2"
     mode: str = "dag"
     kind: str = "standard"
-    engine: str = "structural"
     max_variants: int = 8
     verify: bool = False
     check: bool = False
@@ -110,13 +108,12 @@ class CampaignJob:
 
     def bundle(self) -> Tuple[object, ...]:
         """The cache-bundle key this job needs in its worker."""
-        return (self.library, int(self.max_variants), self.kind, self.engine)
+        return (self.library, int(self.max_variants), self.kind)
 
     def key(self) -> CellKey:
         """The journal identity: every field that can change the row.
 
-        ``engine`` is left out (both engines are enforced byte-identical)
-        and so is ``weight`` (it only steers scheduling).
+        ``weight`` is left out (it only steers scheduling).
         """
         return cell_key(
             self.library, self.kind, self.label, self.max_variants,
@@ -132,7 +129,7 @@ class CampaignRow:
     Attributes:
         label: the job label.
         circuit: the source network's name.
-        mode / kind / engine / library: echo of the job options.
+        mode / kind / library: echo of the job options.
         subject_gates: NAND2/INV nodes of the decomposed subject.
         delay: mapped delay (load-independent model).
         area: total cell area.
@@ -153,7 +150,6 @@ class CampaignRow:
     circuit: str
     mode: str
     kind: str
-    engine: str
     library: str
     subject_gates: int
     delay: float
@@ -211,9 +207,7 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
     if job.mode == "multi":
         from repro.core.multimap import map_multi_decomposition
 
-        multi = map_multi_decomposition(
-            net, patterns, kind=kind, engine=job.engine,  # type: ignore[arg-type]
-        )
+        multi = map_multi_decomposition(net, patterns, kind=kind)  # type: ignore[arg-type]
         if job.check:
             from repro.check.certificate import attach_certificate
 
@@ -231,9 +225,7 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
         from repro.fuzz.generator import derive_edit_seed, random_edit_script
 
         subject = decompose_network(net, style=job.decompose)
-        base = map_dag(
-            subject, patterns, kind=kind, cache=True, engine=job.engine,
-        )
+        base = map_dag(subject, patterns, kind=kind)
         script = random_edit_script(net, seed=derive_edit_seed(net), n_edits=2)  # type: ignore[arg-type]
         edited = script.apply(net)  # type: ignore[arg-type]
         eco = eco_remap(
@@ -241,7 +233,7 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
         )
         scratch = map_dag(
             decompose_network(edited, style=job.decompose), patterns,
-            kind=kind, cache=True, engine=job.engine,
+            kind=kind,
         )
         if (
             eco.result.delay != scratch.delay
@@ -265,14 +257,11 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
     else:
         subject = decompose_network(net, style=job.decompose)
         if job.mode == "tree":
-            result = map_tree(
-                subject, patterns, cache=True, check=job.check,
-                engine=job.engine,
-            )
+            result = map_tree(subject, patterns, check=job.check)
         else:
             result = map_dag(
-                subject, patterns, kind=kind, cache=True,
-                check=job.check and job.mode == "dag", engine=job.engine,
+                subject, patterns, kind=kind,
+                check=job.check and job.mode == "dag",
             )
         netlist = result.netlist
         delay, area, cpu_s = result.delay, result.area, result.cpu_seconds
@@ -312,7 +301,6 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
         circuit=getattr(net, "name", job.label),
         mode=job.mode,
         kind=job.kind,
-        engine=job.engine,
         library=job.library,
         subject_gates=subject_gates,
         delay=delay,
@@ -329,23 +317,19 @@ def _run_campaign_job(job: CampaignJob, patterns: object) -> CampaignRow:
 def _mapping_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
     """Per-worker bundle factory for mapping campaigns.
 
-    One bundle per distinct ``(library, max_variants, kind, engine)``:
-    the pattern trie plus — for the cuts engine — the persistent
-    NPN-class table.  Jobs only carry the key; the heavy state never
-    crosses the process boundary.
+    One bundle per distinct ``(library, max_variants, kind)``: the
+    pattern set, which memoizes the NPN-class table once a job's matcher
+    turns the cut filter on.  Jobs only carry the key; the heavy state
+    never crosses the process boundary.
     """
 
     def build(bundle_key: tuple) -> Callable[[object], object]:
         from repro.library.patterns import PatternSet
 
-        library_spec, max_variants, _kind, engine = bundle_key
+        library_spec, max_variants, _kind = bundle_key
         patterns = PatternSet(
             resolve_library(library_spec), max_variants=max_variants
         )
-        if engine == "cuts":
-            from repro.library.npn_table import table_for
-
-            table_for(patterns)
 
         def runner(job: object) -> object:
             return _run_campaign_job(job, patterns)  # type: ignore[arg-type]
@@ -366,6 +350,16 @@ _GENERATOR_KNOBS = (
 )
 
 
+#: Every key a manifest entry may carry: one circuit source, the
+#: generator knobs of a seed source, and the per-job overrides.
+_MANIFEST_KEYS = frozenset((
+    "circuit", "blif", "seed", "inputs", "nodes", "outputs",
+    "reconvergence", "fanout_skew", "depth_bias", "label", "library",
+    "mode", "kind", "max_variants", "verify", "check", "decompose",
+    "target", "weight",
+))
+
+
 def _generator_json(**knobs: object) -> str:
     from repro.fuzz.generator import FuzzConfig
 
@@ -378,7 +372,6 @@ def load_manifest(
     library: str = "lib2",
     mode: str = "dag",
     kind: str = "standard",
-    engine: str = "structural",
     max_variants: int = 8,
     verify: bool = False,
     check: bool = False,
@@ -390,14 +383,15 @@ def load_manifest(
     ``{"seed": 7}`` (optionally with generator knobs ``inputs``/
     ``nodes``/``outputs``/``reconvergence``/``fanout_skew``/
     ``depth_bias``) — plus optional per-job overrides (``label``,
-    ``library``, ``mode``, ``kind``, ``engine``, ``max_variants``,
-    ``verify``, ``check``, ``decompose``, ``target``, ``weight``).  The
-    keyword arguments are the defaults a line inherits.  An entry's
-    effective weight is scaled by its mode's :data:`MODE_WEIGHT`
-    multiplier (recovery and multimap jobs cost more than plain runs).
+    ``library``, ``mode``, ``kind``, ``max_variants``, ``verify``,
+    ``check``, ``decompose``, ``target``, ``weight``).  The keyword
+    arguments are the defaults a line inherits.  An entry's effective
+    weight is scaled by its mode's :data:`MODE_WEIGHT` multiplier
+    (recovery and multimap jobs cost more than plain runs).
 
     Raises:
-        RunnerConfigError: unreadable file or malformed entry (``R002``).
+        RunnerConfigError: unreadable file, or a malformed entry or an
+            unknown key (``R002``).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -420,6 +414,17 @@ def load_manifest(
             raise RunnerConfigError(
                 f"[R002] campaign manifest {path}:{lineno}: entry is not "
                 "an object"
+            )
+        unknown = sorted(set(entry) - _MANIFEST_KEYS)
+        if unknown:
+            hint = (
+                "; the matcher now chooses its own cut filter"
+                if "engine" in unknown else ""
+            )
+            raise RunnerConfigError(
+                f"[R002] campaign manifest {path}:{lineno}: unknown key "
+                f"{unknown[0]!r}; accepted keys: "
+                f"{', '.join(sorted(_MANIFEST_KEYS))}{hint}"
             )
         sources = [k for k in ("circuit", "blif", "seed") if k in entry]
         if len(sources) != 1:
@@ -454,7 +459,6 @@ def load_manifest(
             library=str(entry.get("library", library)),
             mode=job_mode,
             kind=str(entry.get("kind", kind)),
-            engine=str(entry.get("engine", engine)),
             max_variants=int(entry.get("max_variants", max_variants)),
             verify=bool(entry.get("verify", verify)),
             check=bool(entry.get("check", check)),
@@ -476,7 +480,6 @@ def seed_ensemble(
     inputs: int = 6,
     mode: str = "dag",
     kind: str = "standard",
-    engine: str = "structural",
     max_variants: int = 8,
     verify: bool = False,
     check: bool = False,
@@ -512,7 +515,6 @@ def seed_ensemble(
             library=library,
             mode=mode,
             kind=kind,
-            engine=engine,
             max_variants=max_variants,
             verify=verify,
             check=check,

@@ -44,7 +44,7 @@ class MatchStats:
         cone_crosschecks: EXTENDED matches functionally verified by the
             packed-cone cross-check (``Matcher(crosscheck=True)``).
         cut_filter_nodes: subject nodes whose pattern loop ran under the
-            cut-engine candidate filter (``Matcher(engine="cuts")``).
+            matcher's cut filter (zero when the filter was off).
         cut_patterns_pruned: patterns skipped by that filter before any
             binding enumeration.
         cut_tainted_nodes: nodes where the cut enumerator hit its per-node
@@ -92,7 +92,7 @@ class NPNStats:
     """Counters for the memoized NPN canonicaliser (:mod:`repro.network.npn`).
 
     One process-wide accumulator (``repro.network.npn.NPN_STATS``) counts
-    every :func:`~repro.network.npn.npn_canonical` call; the cut-engine
+    every :func:`~repro.network.npn.npn_canonical` call; the cut-filter
     bench asserts on a before/after delta that repeated canonicalisation
     of a library is served from the memo instead of re-running the
     ``2^n * n! * 2`` search.

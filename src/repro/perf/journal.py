@@ -29,10 +29,9 @@ Record shapes (schema ``repro-run-journal/1``)::
     {"event": "cell", "status": "failed", ..., "failure": {...}}
     {"event": "end", "stats": {...RunStats fields...}}
 
-The ``cache`` flag and the matcher ``engine`` are deliberately *not*
-part of any key: the caches and both engines are enforced
-byte-identical (``tests/test_perf_equivalence.py``, fuzz oracle
-``F009``), so their rows are interchangeable.
+Whether the matcher ran its cut filter is not part of any key: the
+matcher decides per subject, and the filter is enforced byte-identical
+(``tests/test_engine_equality.py``, fuzz oracle ``F009``).
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ from repro.perf.campaign import (
     seed_ensemble,
 )
 
-#: A small mixed ensemble: two libraries, both mapper modes, both
-#: matcher engines — every distinct cache bundle the pool must juggle.
+#: A small mixed ensemble: two libraries, both mapper modes, two match
+#: kinds — three distinct cache bundles the pool must juggle.
 def _mixed_jobs():
     jobs = seed_ensemble(range(4), ["mini", "lib2"], nodes=10, inputs=4,
                          verify=True)
     jobs.append(CampaignJob(
-        label="cuts-job", source=jobs[0].source, library="mini",
-        engine="cuts", verify=True,
+        label="exact-job", source=jobs[0].source, library="mini",
+        kind="exact", verify=True,
     ))
     jobs.append(CampaignJob(
         label="tree-job", source=jobs[1].source, library="mini",
@@ -70,7 +70,7 @@ class TestJobConstruction:
             "# a comment line\n"
             "\n"
             '{"seed": 7, "nodes": 9, "inputs": 4, "label": "tiny",'
-            ' "engine": "cuts"}\n'
+            ' "kind": "exact"}\n'
         )
         jobs = load_manifest(str(path), library="lib2")
         assert len(jobs) == 2
@@ -78,10 +78,28 @@ class TestJobConstruction:
         assert jobs[0].library == "mini"
         assert jobs[0].weight == 200
         assert jobs[1].label == "tiny"
-        assert jobs[1].engine == "cuts"
+        assert jobs[1].kind == "exact"
         assert jobs[1].library == "lib2"
         assert jobs[1].source[0] == "seed"
         assert jobs[1].weight == 9
+
+    def test_mixed_jobs_span_several_bundles(self):
+        assert len({job.bundle() for job in _mixed_jobs()}) == 3
+
+    def test_manifest_unknown_key_is_coded(self, tmp_path):
+        path = tmp_path / "typo.jsonl"
+        path.write_text('{"seed": 1, "max_variant": 2, "libary": "44-3"}\n')
+        with pytest.raises(RunnerConfigError,
+                           match=r"\[R002\].*:1: unknown key 'libary'; "
+                                 r"accepted keys: .*max_variants"):
+            load_manifest(str(path))
+
+    def test_manifest_engine_key_points_at_the_matcher(self, tmp_path):
+        path = tmp_path / "engine.jsonl"
+        path.write_text('{"circuit": "C432s", "engine": "cuts"}\n')
+        with pytest.raises(RunnerConfigError,
+                           match=r"unknown key 'engine'.*chooses its own"):
+            load_manifest(str(path))
 
     def test_manifest_malformed_json_is_coded(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -381,15 +399,23 @@ class TestCli:
 class TestEcoMode:
     """The eco campaign mode: incremental remap, byte-checked in-worker."""
 
+    #: Parametrization label -> (library, variants, nodes): small mini
+    #: circuits keep the matcher's cut filter off; 44-3 circuits of at
+    #: least CUT_FILTER_MIN_GATES gates turn it on.
+    SIDES = {"structural": ("mini", 8, 14), "cuts": ("44-3", 4, 30)}
+
     def _eco_jobs(self, engine="structural"):
-        base = seed_ensemble(range(3), ["mini"], nodes=14, inputs=5)
+        library, variants, nodes = self.SIDES[engine]
+        base = seed_ensemble(range(3), [library], nodes=nodes, inputs=5)
         return [CampaignJob(
-            label=job.label + "-eco", source=job.source, library="mini",
-            mode="eco", engine=engine, verify=True, check=True,
+            label=job.label + "-eco", source=job.source, library=library,
+            mode="eco", max_variants=variants, verify=True, check=True,
         ) for job in base]
 
     @pytest.mark.parametrize("engine", ["structural", "cuts"])
     def test_rows_describe_the_edited_circuit(self, engine):
+        from repro.core.match import CUT_FILTER_MIN_GATES
+
         out = run_mapping_campaign(self._eco_jobs(engine), workers=1)
         assert out.ok, [f.error for f in out.failures]
         for row in out.rows:
@@ -397,6 +423,8 @@ class TestEcoMode:
             assert "__eco__" in row.circuit  # name encodes the edit script
             assert row.verified  # simulated against the *edited* network
             assert row.delay > 0 and row.cover
+            big = row.subject_gates >= CUT_FILTER_MIN_GATES
+            assert big is (engine == "cuts")
 
     def test_warm_and_cold_rows_byte_identical(self):
         jobs = self._eco_jobs()

@@ -106,8 +106,25 @@ class TestMapping:
         assert code == 0
         text = capsys.readouterr().out
         assert "delay" in text and "verified" in text
+        assert "filter    : cut filter off" in text  # mini: too few groups
         mapped = read_blif(out)
         assert mapped.n_nodes > 0
+
+    def test_map_reports_cut_filter(self, blif_path, capsys):
+        assert main(["map", blif_path, "--library", "44-3",
+                     "--variants", "4"]) == 0
+        text = capsys.readouterr().out
+        assert "filter    : cut filter on at " in text
+        assert "candidate patterns pruned" in text
+
+    @pytest.mark.parametrize(
+        "command", ["map", "eco", "table", "campaign", "pareto", "tune"]
+    )
+    def test_matcher_knobs_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "--engine" not in text and "--no-cache" not in text
 
     def test_map_gate_format(self, blif_path, capsys, tmp_path):
         out = tmp_path / "mapped_gate.blif"
@@ -202,8 +219,10 @@ class TestEco:
         assert netlist.gate_count() > 0
 
     def test_eco_cuts_engine_and_match_kinds(self, pair_files, capsys):
+        # 44-3 at 4 variants and 67+ subject gates: the matcher's rule
+        # turns the cut filter on for both the base and the edited map.
         base, edited = pair_files
-        assert main(["eco", base, edited, "-l", "mini", "--engine", "cuts",
+        assert main(["eco", base, edited, "-l", "44-3", "--variants", "4",
                      "--match", "exact", "--verify"]) == 0
         assert "byte-identical" in capsys.readouterr().out
 

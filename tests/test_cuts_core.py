@@ -3,9 +3,10 @@
 Unit semantics on a hand-built subject, plus the cross-test required by
 the two-enumerator design: the core enumerator in dominance mode must
 agree with the FlowMap-side enumerator (repro.fpga.cuts) on shared
-subject graphs, and the engine mode (no dominance pruning) must be a
-superset of it.  ``cut_function`` is differentially checked against the
-bit-parallel cone evaluator.
+subject graphs, and the filter mode (no dominance pruning) must be a
+superset of it.  The lazy query the matcher uses must reproduce the
+eager filter-mode enumeration.  ``cut_function`` is differentially
+checked against the bit-parallel cone evaluator.
 """
 
 import pytest
@@ -13,12 +14,15 @@ import pytest
 from repro.bench.suite import build_subject
 from repro.core.cuts import (
     DEFAULT_MAX_CUTS,
+    LazyCuts,
     cut_function,
     cut_words,
     enumerate_cuts,
 )
 from repro.errors import NetworkError
 from repro.fpga.cuts import enumerate_cuts as fpga_enumerate_cuts
+from repro.fuzz.generator import FuzzConfig, random_dag
+from repro.library.npn_table import DEFAULT_DEPTH_CAP, DEFAULT_K
 from repro.network.bitsim import cone_words
 from repro.network.bnet import BooleanNetwork
 from repro.network.decompose import decompose_network
@@ -111,7 +115,7 @@ class TestSemantics:
                 continue
             if any(f.uid in enum.tainted for f in node.fanins):
                 assert node.uid in enum.tainted
-        # the engine's configuration (depth-bounded, default cap) stays
+        # the filter's configuration (depth-bounded, default cap) stays
         # taint-free on this circuit
         assert not enumerate_cuts(
             subject, 4, max_depth=6, max_cuts=DEFAULT_MAX_CUTS
@@ -143,6 +147,65 @@ class TestCrossEnumerator:
         ref = fpga_reference(subject, 3)
         for node in subject.topological():
             assert core.leaf_sets(node) == set(ref[node])
+
+
+def lazy_matches_eager(subject, k, depth, max_cuts=DEFAULT_MAX_CUTS):
+    """Query every node lazily, top-down, and compare with the eager sets.
+
+    Top-down order makes early queries compute their cones under small
+    budgets, so later queries exercise the budget upgrade path.  Returns
+    the number of nodes compared; the lazy query taints no node the
+    eager enumeration leaves clean (its taint stops at the depth
+    budget), so that is every node eager leaves untainted.
+    """
+    eager = enumerate_cuts(subject, k, max_depth=depth, max_cuts=max_cuts)
+    lazy = LazyCuts(k, depth, max_cuts=max_cuts)
+    compared = 0
+    for node in reversed(subject.topological()):
+        cuts, tainted = lazy.at(node)
+        if node.uid in eager.tainted:
+            continue
+        assert not tainted, node.uid
+        assert cuts == eager.at(node), node.uid
+        compared += 1
+    assert compared == len(subject.nodes) - len(eager.tainted)
+    return compared
+
+
+class TestLazyCuts:
+    """The matcher's on-demand query == enumerate_cuts at untainted nodes."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fuzz_subjects(self, seed):
+        net = random_dag(FuzzConfig(n_inputs=6, n_nodes=40, seed=seed))
+        subject = decompose_network(net)
+        assert lazy_matches_eager(subject, DEFAULT_K, DEFAULT_DEPTH_CAP)
+
+    def test_c6288s(self):
+        _, subject = build_subject("C6288s")
+        compared = lazy_matches_eager(subject, DEFAULT_K, DEFAULT_DEPTH_CAP)
+        assert compared == len(subject.nodes)  # nothing tainted here
+
+    def test_tight_cap_taints_soundly(self):
+        # with a cap this small both sides taint; untainted nodes agree
+        _, subject = build_subject("C432s")
+        assert lazy_matches_eager(subject, 4, 6, max_cuts=6)
+
+    def test_budget_upgrade_recomputes(self):
+        subject = small_subject()
+        root = subject.pos[0][1]
+        lazy = LazyCuts(3, 6)
+        shallow, _ = lazy.at(root, budget=1)
+        assert all(depth <= 1 for depth in shallow.values())
+        deep, _ = lazy.at(root)
+        assert deep == enumerate_cuts(subject, 3, max_depth=6).at(root)
+        assert lazy.at(root, budget=1)[0] is deep  # larger budget kept
+
+    def test_visits_only_the_queried_cone(self):
+        _, subject = build_subject("C432s")
+        lazy = LazyCuts(4, 2)
+        lazy.at(subject.pos[0][1])
+        assert 0 < len(lazy) < len(subject.nodes) // 4
 
 
 class TestCutFunction:

@@ -2,9 +2,10 @@
 
 The hard contract under test: ``eco_remap(base, edited, ...)`` is
 byte-identical — delay, area, mapped-BLIF cover — to a from-scratch
-``map_dag`` of the edited network, for both candidate engines and every
-match kind, while actually reusing labels on realistic edits.  The
-E-series patch certificate must catch tampered splices.
+``map_dag`` of the edited network, with the matcher's cut filter forced
+off and on and for every match kind, while actually reusing labels on
+realistic edits.  The E-series patch certificate must catch tampered
+splices.
 """
 
 import copy
@@ -14,7 +15,7 @@ import pytest
 
 from repro.check.eco import certify_patch
 from repro.core.dag_mapper import map_dag
-from repro.core.match import Match, MatchKind
+from repro.core.match import Match, Matcher, MatchKind
 from repro.core.tree_mapper import map_tree
 from repro.eco import EcoKeyTable, compute_subject_keys, eco_remap, pattern_use_cap
 from repro.errors import CertificateError, MappingError
@@ -23,12 +24,17 @@ from repro.network.decompose import decompose_network
 from repro.network.edits import Edit, EditScript
 from repro.network.mapped_io import dumps_mapped_blif
 
+#: Parametrization labels of the two matcher configurations: every
+#: pattern tried structurally (cut filter forced off) or pre-filtered
+#: through cuts (forced on).
+CUT_FILTER = {"structural": False, "cuts": True}
+
 ENGINES_BY_KIND = [
     (MatchKind.STANDARD, "structural"),
     (MatchKind.STANDARD, "cuts"),
     (MatchKind.EXACT, "structural"),
     (MatchKind.EXACT, "cuts"),
-    (MatchKind.EXTENDED, "structural"),  # cuts does not support EXTENDED
+    (MatchKind.EXTENDED, "structural"),  # the filter refuses EXTENDED
 ]
 
 
@@ -40,13 +46,18 @@ def identical(a, b):
     )
 
 
+def forced(patterns, kind, engine):
+    """A fresh matcher with the cut filter forced per ``CUT_FILTER``."""
+    return Matcher(patterns, kind, cut_filter=CUT_FILTER[engine])
+
+
 def scratch_map(net, patterns, kind, engine, arrivals=None):
     return map_dag(
         decompose_network(net),
         patterns,
         kind=kind,
         arrival_times=arrivals,
-        engine=engine,
+        matcher=forced(patterns, kind, engine),
     )
 
 
@@ -60,7 +71,8 @@ class TestByteIdentity:
     def test_matches_from_scratch_mapping(self, kind, engine, mini_patterns, edit_pair):
         base_net, edited, script = edit_pair
         base = scratch_map(base_net, mini_patterns, kind, engine)
-        eco = eco_remap(base, edited, mini_patterns)
+        eco = eco_remap(base, edited, mini_patterns,
+                        matcher=forced(mini_patterns, kind, engine))
         scratch = scratch_map(edited, mini_patterns, kind, engine)
         assert identical(eco.result, scratch), (kind, engine)
         assert eco.nodes_reused > 0, "a 2-edit script must leave clean cones"
@@ -74,7 +86,6 @@ class TestByteIdentity:
         counters = eco.result.counters
         assert counters["eco_nodes_reused"] == eco.nodes_reused
         assert counters["eco_nodes_remapped"] == eco.nodes_remapped
-        assert eco.result.engine == base.engine
         assert eco.result.match_kind == base.match_kind
         assert eco.patch_report is not None and not eco.patch_report.has_errors
         assert eco.patch_report.meta["nodes_reused"] == eco.nodes_reused
@@ -109,7 +120,8 @@ class TestEdgeCases:
     def test_empty_diff_reuses_everything(self, engine, mini_patterns, edit_pair):
         base_net, _, _ = edit_pair
         base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, engine)
-        eco = eco_remap(base, base_net, mini_patterns)
+        eco = eco_remap(base, base_net, mini_patterns, matcher=forced(
+            mini_patterns, MatchKind.STANDARD, engine))
         assert eco.nodes_remapped == 0
         assert eco.reuse_fraction == 1.0
         assert identical(eco.result, base)
@@ -120,7 +132,8 @@ class TestEdgeCases:
         base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, engine)
         moved = {pi: 3.25 for pi in base_net.pis}
         eco = eco_remap(base, base_net, mini_patterns, arrival_times=moved,
-                        base_arrival_times={})
+                        base_arrival_times={}, matcher=forced(
+                            mini_patterns, MatchKind.STANDARD, engine))
         assert eco.nodes_reused == 0
         scratch = scratch_map(
             base_net, mini_patterns, MatchKind.STANDARD, engine, moved

@@ -16,7 +16,7 @@ class TestRegistry:
 
     def test_known_knobs_present(self):
         for name in ("REPRO_SIM_VECTORS", "REPRO_SIM_SEED",
-                     "REPRO_NPN_CACHE_DIR", "REPRO_CELL_TIMEOUT",
+                     "REPRO_CELL_TIMEOUT",
                      "REPRO_CELL_RETRIES", "REPRO_CELL_BACKOFF",
                      "REPRO_FAULT_INJECT", "REPRO_FUZZ_INJECT"):
             assert name in env.REGISTRY

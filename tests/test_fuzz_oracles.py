@@ -17,6 +17,7 @@ from repro.fuzz import (
     run_battery,
 )
 from repro.network.bnet import BooleanNetwork
+from repro.network.decompose import decompose_network
 
 
 def _codes(report):
@@ -52,7 +53,7 @@ class TestInjectedMutations:
             ("delay", "F004"),    # inflated delay breaks the certificate
             ("cover", "F004"),    # rewired pin breaks cover replay (C002)
             ("corrupt", "F002"),  # complemented PO breaks equivalence
-            ("engine", "F009"),   # inflated cut re-map delay: engines diverge
+            ("engine", "F009"),   # inflated filtered re-map: filter on != off
             ("eco", "F011"),      # skewed incremental delay: eco diverges
         ],
     )
@@ -86,7 +87,7 @@ class TestInjectedMutations:
 
 
 class TestEngineAgreement:
-    """F009: the structural and cut engines must agree on every circuit."""
+    """F009: the cut filter forced on and off must agree on every circuit."""
 
     def test_engine_inject_reports_f009_only_there(self, patterns):
         net = random_dag(FuzzConfig(n_nodes=25, seed=3))
@@ -101,7 +102,7 @@ class TestEngineAgreement:
         assert _codes(report) == [], report.format()
 
     def test_cross_engines_false_skips_check(self, patterns):
-        # with the agreement check disabled, the engine injection has no
+        # with the agreement check disabled, the filter injection has no
         # oracle left to catch it
         net = random_dag(FuzzConfig(n_nodes=25, seed=3))
         report = run_battery(
@@ -112,12 +113,29 @@ class TestEngineAgreement:
         assert "F009" not in _codes(report), report.format()
 
     def test_extended_kind_skipped(self):
-        # the cut engine refuses EXTENDED, so the agreement check must
+        # the cut filter refuses EXTENDED, so the agreement check must
         # stand down rather than report a spurious F009
         config = OracleConfig(kind="extended", inject="engine")
         net = random_dag(FuzzConfig(n_nodes=20, seed=6))
         report = run_battery(net, config, patterns=config.build_patterns())
         assert "F009" not in _codes(report), report.format()
+
+    def test_compares_forced_states_where_the_rule_is_on(self):
+        # 44-3 and a 64+ gate subject: the default run filters, so F009
+        # must still map once with the filter forced off
+        from repro.check.diagnostics import CheckReport
+        from repro.core.match import MatchKind
+        from repro.fuzz.oracles import _check_filter_agreement
+
+        config = OracleConfig(library="44-3", max_variants=4)
+        subject = decompose_network(random_dag(FuzzConfig(n_nodes=30, seed=2)))
+        assert subject.n_gates >= 64
+        patterns = config.build_patterns()
+        for inject, codes in ((None, []), ("engine", ["F009", "F009"])):
+            report = CheckReport()
+            _check_filter_agreement(report, subject, patterns,
+                                    MatchKind.STANDARD, inject)
+            assert [d.code for d in report.errors()] == codes
 
 
 class TestRecoveryAndMultimapContract:

@@ -1,19 +1,14 @@
 """The precomputed NPN-class table (repro.library.npn_table).
 
-Covers the library side of the cut matching engine: chain construction
-(serial == parallel), cell-class lookup with transform validity,
-persistent side-cache roundtrip/corruption handling, the per-pattern-set
-memo, and parameter validation.
+Covers the library side of the matcher's cut filter: chain
+construction, cell-class lookup with transform validity, the
+per-pattern-set memo, and parameter validation.
 """
-
-import json
 
 import pytest
 
 from repro.errors import LibraryError
 from repro.library.npn_table import (
-    SCHEMA,
-    _cache_path,
     build_npn_table,
     pattern_chain,
     pattern_shape,
@@ -24,8 +19,8 @@ from repro.network.npn import apply_transform, npn_canonical
 
 
 def fresh(patterns, **kwargs):
-    """Build without touching any persistent cache."""
-    return build_npn_table(patterns, use_cache=False, **kwargs)
+    """A new build, bypassing the per-pattern-set memo."""
+    return build_npn_table(patterns, **kwargs)
 
 
 class TestChains:
@@ -89,6 +84,24 @@ class TestCellClasses:
         assert all(n == 1 for n, _bits in table.cell_classes)
 
 
+class TestChainOrbits:
+    """The map the matcher's cut filter uses instead of canonicalising."""
+
+    def test_exactly_the_chain_classes(self, lib441_patterns):
+        table = fresh(lib441_patterns)
+        classes = {(n, bits) for chain in table.chains for _t, n, bits in chain}
+        assert set(table.chain_orbits.values()) == classes
+        for (n, bits), cls in table.chain_orbits.items():
+            canonical, _ = npn_canonical(TruthTable(n, bits))
+            assert (n, canonical.bits) == cls
+        # complete where the function space is small enough to sweep
+        for n in {n for n, _ in classes if n <= 3}:
+            for bits in range(1 << (1 << n)):
+                canonical, _ = npn_canonical(TruthTable(n, bits))
+                if (n, canonical.bits) in classes:
+                    assert (n, bits) in table.chain_orbits
+
+
 class TestShapes:
     @staticmethod
     def _depth(shape):
@@ -130,55 +143,15 @@ class TestShapes:
         )
 
 
-class TestPersistence:
-    def test_roundtrip_via_cache_dir(self, lib441_patterns, tmp_path):
-        first = build_npn_table(lib441_patterns, cache_dir=tmp_path)
-        assert not first.from_cache
-        second = build_npn_table(lib441_patterns, cache_dir=tmp_path)
-        assert second.from_cache
-        assert second.key == first.key
-        assert second.chains == first.chains
-        assert second.shapes == first.shapes
-        assert second.cell_classes == first.cell_classes
-
-    def test_corrupt_cache_file_rebuilds(self, mini_patterns, tmp_path):
-        first = build_npn_table(mini_patterns, cache_dir=tmp_path)
-        path = _cache_path(tmp_path, first.key)
-        assert path.exists()
-        path.write_text("{ not json")
-        rebuilt = build_npn_table(mini_patterns, cache_dir=tmp_path)
-        assert not rebuilt.from_cache
-        assert rebuilt.chains == first.chains
-
-    def test_stale_schema_rebuilds(self, mini_patterns, tmp_path):
-        first = build_npn_table(mini_patterns, cache_dir=tmp_path)
-        path = _cache_path(tmp_path, first.key)
-        data = json.loads(path.read_text())
-        data["schema"] = SCHEMA + "-stale"
-        path.write_text(json.dumps(data))
-        rebuilt = build_npn_table(mini_patterns, cache_dir=tmp_path)
-        assert not rebuilt.from_cache
-
-    def test_key_depends_on_parameters(self, mini_patterns):
-        k3 = fresh(mini_patterns, k=3)
-        k4 = fresh(mini_patterns, k=4)
-        assert k3.key != k4.key
-
-    def test_env_var_selects_cache_dir(self, mini_patterns, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NPN_CACHE_DIR", str(tmp_path))
-        table = build_npn_table(mini_patterns)
-        assert _cache_path(tmp_path, table.key).exists()
-
-
 class TestTableFor:
     def test_memoized_per_pattern_set(self, mini_patterns):
-        a = table_for(mini_patterns, use_cache=False)
-        b = table_for(mini_patterns, use_cache=False)
+        a = table_for(mini_patterns)
+        b = table_for(mini_patterns)
         assert a is b
 
     def test_distinct_parameters_distinct_tables(self, mini_patterns):
-        a = table_for(mini_patterns, use_cache=False)
-        b = table_for(mini_patterns, k=3, use_cache=False)
+        a = table_for(mini_patterns)
+        b = table_for(mini_patterns, k=3)
         assert a is not b
         assert b.k == 3
 

@@ -25,6 +25,11 @@ def patterns():
     return PatternSet(lib44_1(), max_variants=8)
 
 
+def reference(patterns, kind=MatchKind.STANDARD):
+    """The seed's direct matching path (no perf caches)."""
+    return Matcher(patterns, kind, cache=False)
+
+
 def _best_identity(labels):
     """(pattern identity, exact binding) of every best match."""
     out = []
@@ -47,8 +52,9 @@ def _best_identity(labels):
 def test_cached_labeling_identical_to_seed(name, patterns):
     _, subject = build_subject(name)
     for kind in (MatchKind.STANDARD, MatchKind.EXACT):
-        seed = compute_labels(subject, patterns, kind=kind, cache=False)
-        fast = compute_labels(subject, patterns, kind=kind, cache=True)
+        seed = compute_labels(subject, patterns, kind=kind,
+                              matcher=reference(patterns, kind))
+        fast = compute_labels(subject, patterns, kind=kind)
         # Byte-identical arrivals: same matches in the same order feed
         # the same float arithmetic, so == (not approx) is the contract.
         assert fast.arrival == seed.arrival
@@ -61,12 +67,13 @@ def test_cached_labeling_identical_to_seed(name, patterns):
 @pytest.mark.parametrize("name", ["C432s", "C6288s"])
 def test_cached_mapping_identical_results(name, patterns):
     _, subject = build_subject(name)
-    dag_seed = map_dag(subject, patterns, cache=False)
-    dag_fast = map_dag(subject, patterns, cache=True)
+    dag_seed = map_dag(subject, patterns, matcher=reference(patterns))
+    dag_fast = map_dag(subject, patterns)
     assert dag_fast.delay == dag_seed.delay
     assert dag_fast.area == dag_seed.area
-    tree_seed = map_tree(subject, patterns, cache=False)
-    tree_fast = map_tree(subject, patterns, cache=True)
+    tree_seed = map_tree(subject, patterns,
+                         matcher=reference(patterns, MatchKind.EXACT))
+    tree_fast = map_tree(subject, patterns)
     assert tree_fast.delay == tree_seed.delay
     assert tree_fast.area == tree_seed.area
 
@@ -76,7 +83,7 @@ def test_shared_matcher_across_circuits(patterns):
     shared = Matcher(patterns, MatchKind.STANDARD, cache=True)
     for name in ("C432s", "C880s"):
         _, subject = build_subject(name)
-        seed = compute_labels(subject, patterns, cache=False)
+        seed = compute_labels(subject, patterns, matcher=reference(patterns))
         fast = compute_labels(subject, patterns, matcher=shared)
         assert fast.arrival == seed.arrival
         assert _best_identity(fast) == _best_identity(seed)
@@ -104,6 +111,6 @@ def test_parallel_rows_equal_serial(patterns):
 
 def test_uncached_path_reports_no_cache_traffic(patterns):
     _, subject = build_subject("C432s")
-    result = map_dag(subject, patterns, cache=False)
+    result = map_dag(subject, patterns, matcher=reference(patterns))
     assert result.counters["signature_hits"] == 0
     assert result.counters["signature_misses"] == 0
