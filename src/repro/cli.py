@@ -19,12 +19,13 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.suite import ALL_CIRCUITS, SUITE, TABLE23_NAMES
 from repro.core.dag_mapper import map_dag
-from repro.errors import ReproError
+from repro.errors import ReproError, RunnerConfigError
 from repro.core.match import MatchKind
 from repro.core.netlist import mapped_to_network
 from repro.library.gate import GateLibrary
@@ -212,29 +213,32 @@ def _cmd_flowmap(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Paper table -> (experiment, library, max_variants, title).
+_TABLES: Dict[int, Tuple[Callable[..., List[exp.ComparisonRow]], str, int, str]] = {
+    1: (exp.table1, "lib2", 8,
+        "Table 1: tree vs DAG mapping, lib2-like library"),
+    2: (exp.table2, "44-1", 8,
+        "Table 2: tree vs DAG mapping, 44-1 library (7 gates)"),
+    3: (exp.table3, "44-3", 4,
+        "Table 3: tree vs DAG mapping, 44-3 library (rich)"),
+}
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     import time
 
     from repro.perf.counters import RunStats
 
-    names = TABLE23_NAMES if args.fast else None
+    experiment, library, max_variants, title = _TABLES[args.number]
     stats = RunStats()
     common = dict(verify=not args.no_verify, jobs=args.jobs,
                   cell_timeout=args.cell_timeout, retries=args.retries,
-                  journal=args.journal, resume=args.resume, stats=stats)
+                  journal=args.journal, resume=args.resume, stats=stats,
+                  max_variants=max_variants)
+    if args.fast and args.number == 1:
+        common["names"] = TABLE23_NAMES
     started = time.perf_counter()
-    if args.number == 1:
-        rows = exp.table1(names=names, **common)
-        title = "Table 1: tree vs DAG mapping, lib2-like library"
-        library = "lib2"
-    elif args.number == 2:
-        rows = exp.table2(**common)
-        title = "Table 2: tree vs DAG mapping, 44-1 library (7 gates)"
-        library = "44-1"
-    else:
-        rows = exp.table3(**common)
-        title = "Table 3: tree vs DAG mapping, 44-3 library (rich)"
-        library = "44-3"
+    rows = experiment(**common)
     total = time.perf_counter() - started
     print(format_comparison_table(rows, title))
     failed = [row for row in rows if getattr(row, "failed", False)]
@@ -249,6 +253,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             library=library,
             circuits=rows_to_records(rows),
             jobs=args.jobs,
+            max_variants=max_variants,
             total_wall_s=total,
             extra=extra,
         )
@@ -911,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(parallel rows are identical to serial)")
     p_tab.add_argument("--bench-json", metavar="FILE",
                        help="also write wall times and cache counters "
-                            "as JSON (BENCH_mapper.json schema)")
+                            "as JSON (repro-bench-mapper/1 schema)")
     _add_runner_arguments(p_tab)
     p_tab.set_defaults(func=_cmd_table)
 
@@ -1198,9 +1203,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Destinations of every option naming a file a command writes.
+_OUTPUT_DESTS = ("output", "bench_json", "stats_json", "journal", "csv",
+                 "json", "dot")
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Fail with ``[R002]`` before any work when an output file's
+    directory does not exist, instead of a traceback after the run."""
+    for dest in _OUTPUT_DESTS:
+        path = getattr(args, dest, None)
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            flag = "--" + dest.replace("_", "-")
+            raise RunnerConfigError(
+                f"[R002] {flag} {path!r}: directory {directory!r} does "
+                f"not exist"
+            )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except ReproError as exc:
         # Coded, self-describing errors (e.g. [R001] unknown library

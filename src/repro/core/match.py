@@ -34,8 +34,6 @@ from repro.errors import MappingError
 from repro.library.gate import Gate
 from repro.library.npn_table import Chain, NPNTable, Shape, table_for
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
-from repro.network.bitsim import cone_words
-from repro.network.functions import variable_bits
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
 from repro.perf.signature import cone_signature
@@ -182,7 +180,6 @@ class Matcher:
         kind: MatchKind = MatchKind.STANDARD,
         cache: bool = True,
         stats: Optional[MatchStats] = None,
-        crosscheck: bool = False,
         cut_filter: Optional[bool] = None,
     ):
         if cut_filter and kind is MatchKind.EXTENDED:
@@ -194,7 +191,6 @@ class Matcher:
         self.patterns = patterns
         self.kind = kind
         self.cache = cache
-        self.crosscheck = crosscheck
         self.stats = stats if stats is not None else MatchStats()
         self._force_filter = cut_filter
         #: whether the cut filter runs on the attached subject.
@@ -550,7 +546,7 @@ class Matcher:
         if snode.is_pi:
             return []
         if not self.cache:
-            return self._crosschecked(self._matches_at_direct(snode))
+            return self._matches_at_direct(snode)
         assert self._sig_cache is not None  # cache=True invariant
         stats = self.stats
         sig, cone = cone_signature(
@@ -565,14 +561,10 @@ class Matcher:
             # canonical cone ordering.  Never recomputed.
             stats.signature_hits += 1
             stats.matches_replayed += len(templates)
-            return self._crosschecked(
-                [
-                    Match(
-                        pattern, snode, {puid: cone[pos] for puid, pos in items}
-                    )
-                    for pattern, items in templates
-                ]
-            )
+            return [
+                Match(pattern, snode, {puid: cone[pos] for puid, pos in items})
+                for pattern, items in templates
+            ]
         stats.signature_misses += 1
         results = self._matches_at_grouped(snode)
         index = {id(node): pos for pos, node in enumerate(cone)}
@@ -587,10 +579,10 @@ class Matcher:
                 # A bound node escaped the signature cone — impossible by
                 # the depth argument in repro.perf.signature; refuse to
                 # cache rather than risk an unsound replay.
-                return self._crosschecked(results)
+                return results
             templates.append((match.pattern, items))
         self._sig_cache[sig] = templates
-        return self._crosschecked(results)
+        return results
 
     def _matches_at_direct(self, snode: SubjectNode) -> List[Match]:
         """The seed path: every pattern enumerated independently."""
@@ -741,64 +733,6 @@ class Matcher:
         Computed once in :meth:`attach`; treat as read-only.
         """
         return self._uses_floor
-
-    # ------------------------------------------------------------------
-    # Packed-cone functional cross-check (EXTENDED matches)
-    # ------------------------------------------------------------------
-    def _crosschecked(self, matches: List[Match]) -> List[Match]:
-        """Optionally cross-check EXTENDED matches before returning them."""
-        if self.crosscheck and self.kind is MatchKind.EXTENDED:
-            for match in matches:
-                self._crosscheck_cone(match)
-        return matches
-
-    def _crosscheck_cone(self, match: Match) -> None:
-        """Verify the matched subject cone computes the gate's function.
-
-        EXTENDED matches drop injectivity, so structural replay is the
-        one match class where an unsound binding could silently change
-        functionality.  The check evaluates the subject cone between the
-        match root and its leaf nodes over packed truth-table words and
-        compares against the gate's truth table with its pins bound to
-        the same words.  Free variables are assigned only to *pure*
-        leaves: a subject node bound both as a leaf and as an interior
-        node (an unfolding artefact) is constrained — its value always
-        equals its own cone function of the deeper leaves — so both
-        sides evaluate it that way, making the comparison exact under
-        exactly the correlations the subject graph enforces.  Shared
-        leaves likewise tie the corresponding gate inputs together on
-        both sides.
-        """
-        leaves = match.leaves()
-        interior = {snode.uid for snode in match.internal_nodes()}
-        order: List[SubjectNode] = []
-        seen: Set[int] = set()
-        for _, node in leaves:
-            if node.uid not in seen and node.uid not in interior:
-                seen.add(node.uid)
-                order.append(node)
-        n_leaves = len(order)
-        mask = (1 << (1 << n_leaves)) - 1
-        leaf_words = {
-            node.uid: variable_bits(k, n_leaves) for k, node in enumerate(order)
-        }
-        cone = cone_words(match.root, leaf_words, mask)
-        gate = match.gate
-        # Dual-role leaves get their computed cone word, not a variable.
-        pin_word = {
-            pin: cone_words(node, leaf_words, mask) for pin, node in leaves
-        }
-        expected = gate.tt.eval_words(
-            [pin_word.get(pin, 0) for pin in gate.inputs], mask
-        )
-        self.stats.cone_crosschecks += 1
-        if cone != expected:
-            raise MappingError(
-                f"extended match of {gate.name!r} at subject node "
-                f"{match.root.uid} fails the packed-cone functional "
-                f"cross-check: the covered cone does not compute the "
-                f"gate's function"
-            )
 
 
 class MatchViolation:

@@ -154,7 +154,8 @@ class UnknownLibrarySpecError(RunnerError, LibraryError):
 
 
 class RunnerConfigError(RunnerError):
-    """[R002] An invalid runner configuration value (jobs, timeout, retries)."""
+    """[R002] An invalid runner configuration value (jobs, timeout,
+    retries, an output path into a missing directory)."""
 
 
 class WorkerInitError(RunnerError):

@@ -299,7 +299,7 @@ def cone_words(
     ``leaf_words`` maps subject uid -> packed word for every cone leaf;
     the walk from ``root`` must terminate on those leaves (reaching a
     primary input outside the leaf set is an error — the cone is not
-    closed).  Used by the matcher to cross-check that an EXTENDED match's
+    closed).  The match tests use it to check that an EXTENDED match's
     cone really computes its gate's function.
     """
     memo: Dict[int, int] = dict(leaf_words)

@@ -29,11 +29,12 @@ enforced byte-identical to the seed path by the test suite:
 * :mod:`repro.perf.campaign` — mapping campaigns as a job source:
   heterogeneous (circuit, library, mode, kind) job batches from a
   JSONL manifest or a seeded ensemble, exposed as ``repro-map
-  campaign`` and benchmarked by ``benchmarks/bench_throughput.py``.
+  campaign`` and benchmarked by the ``warm_pool`` case of
+  ``benchmarks/bench_ab.py``.
 
 :mod:`repro.perf.counters` carries the instrumentation counters that
-surface in :class:`repro.core.result.MappingResult` and in
-``BENCH_mapper.json``.
+surface in :class:`repro.core.result.MappingResult` and in the
+``repro-map table --bench-json`` report (:mod:`repro.perf.benchjson`).
 """
 
 from repro.perf.benchjson import write_bench_json

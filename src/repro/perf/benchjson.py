@@ -1,11 +1,8 @@
-"""Machine-readable benchmark report (``BENCH_mapper.json``).
+"""Machine-readable table report (``repro-map table --bench-json``).
 
-One schema shared by the bench smoke script
-(``benchmarks/bench_matcher_cache.py``) and ``repro-map table
---bench-json``: top-level run metadata (library, match kind, jobs,
-wall time, speedup over the uncached path when measured) plus one
-record per circuit carrying wall times and the :mod:`repro.perf`
-instrumentation counters.
+Top-level run metadata (library, match kind, jobs, pattern variants,
+wall time) plus one record per table row carrying both mappers' wall
+times, results and the :mod:`repro.perf` instrumentation counters.
 """
 
 from __future__ import annotations
@@ -16,32 +13,12 @@ import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.core.result import MappingResult
     from repro.harness.experiment import ComparisonRow
     from repro.perf.parallel import CellFailure
 
-__all__ = ["SCHEMA", "result_record", "rows_to_records", "write_bench_json"]
+__all__ = ["SCHEMA", "rows_to_records", "write_bench_json"]
 
 SCHEMA = "repro-bench-mapper/1"
-
-
-def result_record(
-    name: str,
-    subject_gates: int,
-    result: "MappingResult",
-    wall_s: Optional[float] = None,
-) -> Dict[str, object]:
-    """Flatten one :class:`~repro.core.result.MappingResult` per circuit."""
-    return {
-        "circuit": name,
-        "subject_gates": subject_gates,
-        "mode": result.mode,
-        "wall_s": round(wall_s if wall_s is not None else result.cpu_seconds, 4),
-        "delay": result.delay,
-        "area": result.area,
-        "n_matches": result.n_matches,
-        "counters": result.counters,
-    }
 
 
 def rows_to_records(
@@ -84,11 +61,10 @@ def write_bench_json(
     path: str,
     library: str,
     circuits: List[Dict[str, object]],
+    max_variants: int,
     kind: str = "standard",
     jobs: int = 1,
-    max_variants: int = 8,
     total_wall_s: Optional[float] = None,
-    speedup: Optional[float] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Write the report; returns the payload that was written."""
@@ -105,8 +81,6 @@ def write_bench_json(
     }
     if total_wall_s is not None:
         payload["total_wall_s"] = round(total_wall_s, 4)
-    if speedup is not None:
-        payload["speedup_vs_uncached"] = round(speedup, 3)
     if extra:
         payload.update(extra)
     payload["circuits"] = circuits

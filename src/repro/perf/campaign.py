@@ -7,7 +7,7 @@ fanned over the worker pool of :mod:`repro.perf.parallel`.  Jobs
 sharing a cache bundle key (``library``, ``max_variants``, ``kind``)
 reuse the worker's pattern set — with its memoized NPN-class table —
 instead of rebuilding it per process; that amortisation is the whole
-point (``benchmarks/bench_throughput.py`` gates it).
+point (the ``warm_pool`` case of ``benchmarks/bench_ab.py`` gates it).
 
 Results are :class:`CampaignRow` dataclasses whose :meth:`~CampaignRow.stable`
 view (everything except the timing field) is **byte-identical** however

@@ -3,8 +3,7 @@
 A :class:`MatchStats` instance rides along with one :class:`Matcher` and
 counts the work the caches saved or performed.  The counters surface in
 :class:`repro.core.labeling.Labels`/:class:`repro.core.result.MappingResult`
-and are written to ``BENCH_mapper.json`` by the bench smoke so the perf
-trajectory is tracked across PRs.
+and in the per-circuit records of ``repro-map table --bench-json``.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class MatchStats:
         bindings_enumerated: complete bindings produced by the enumerator.
         groups_enumerated: (pattern group, subject node) enumerations run.
         matches_replayed: matches materialised via signature replay.
-        cone_crosschecks: EXTENDED matches functionally verified by the
-            packed-cone cross-check (``Matcher(crosscheck=True)``).
         cut_filter_nodes: subject nodes whose pattern loop ran under the
             matcher's cut filter (zero when the filter was off).
         cut_patterns_pruned: patterns skipped by that filter before any
@@ -63,7 +60,6 @@ class MatchStats:
     bindings_enumerated: int = 0
     groups_enumerated: int = 0
     matches_replayed: int = 0
-    cone_crosschecks: int = 0
     cut_filter_nodes: int = 0
     cut_patterns_pruned: int = 0
     cut_tainted_nodes: int = 0
@@ -146,8 +142,8 @@ class SimStats:
 
     One process-wide accumulator (``repro.network.bitsim.SIM_STATS``)
     collects every kernel invocation; the harness snapshots it around a
-    run and writes the per-run ``sim_vectors_per_sec`` into
-    ``BENCH_mapper.json``/``BENCH_bitsim.json``.
+    run and writes the per-run ``sim_vectors_per_sec`` into the
+    ``repro-map table --bench-json`` report.
 
     Attributes:
         runs: kernel invocations (one per simulated object per pass).
@@ -207,7 +203,8 @@ class RunStats:
 
     Filled by :func:`repro.perf.parallel.stream_jobs` into the instance
     its caller passes in, written into the journal's ``end`` record, the
-    campaign's ``--stats-json`` and ``BENCH_mapper.json``.
+    campaign's ``--stats-json`` and the ``run_stats`` block of
+    ``repro-map table --bench-json``.
 
     Attributes:
         cells_total: cells requested (including resumed ones).

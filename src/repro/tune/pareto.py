@@ -6,7 +6,8 @@ reduction here is a pure function of the row *values* — points are
 deduplicated and sorted by explicit keys, floats are never formatted
 through locale-dependent paths — so the CSV/JSON emission is
 byte-identical however the campaign was scheduled, which the pareto
-smoke test and ``benchmarks/bench_pareto.py`` assert.
+smoke test and the ``pareto`` case of ``benchmarks/bench_ab.py``
+assert.
 """
 
 from __future__ import annotations

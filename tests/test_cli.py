@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -182,6 +184,51 @@ class TestParser:
     def test_unknown_bench(self):
         with pytest.raises(SystemExit):
             main(["bench", "nope"])
+
+
+class TestReports:
+    @pytest.mark.parametrize("number,variants", [(1, 8), (2, 8), (3, 4)])
+    def test_table_bench_json_records_max_variants(
+        self, number, variants, tmp_path, monkeypatch, capsys
+    ):
+        from repro.harness import experiment
+
+        seen = []
+
+        def run_tree_vs_dag(library, names=None, max_variants=8, **kwargs):
+            seen.append(max_variants)
+            return []
+
+        monkeypatch.setattr(experiment, "run_tree_vs_dag", run_tree_vs_dag)
+        report = tmp_path / "bench.json"
+        assert main(["table", str(number), "--bench-json", str(report)]) == 0
+        assert seen == [variants]
+        assert json.loads(report.read_text())["max_variants"] == variants
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["table", "1", "--fast", "--bench-json", "{out}"], "--bench-json"),
+        (["table", "1", "--fast", "--journal", "{out}"], "--journal"),
+        (["campaign", "--seeds", "0:1", "--stats-json", "{out}"],
+         "--stats-json"),
+        (["campaign", "--seeds", "0:1", "--journal", "{out}"], "--journal"),
+        (["pareto", "--seeds", "0:1", "--csv", "{out}"], "--csv"),
+        (["pareto", "--seeds", "0:1", "--json", "{out}"], "--json"),
+        (["map", "{blif}", "-o", "{out}"], "--output"),
+    ], ids=["table-bench-json", "table-journal", "campaign-stats-json",
+            "campaign-journal", "pareto-csv", "pareto-json", "map-output"])
+    def test_output_into_missing_directory_fails_first(
+        self, argv, flag, tmp_path, capsys
+    ):
+        blif = tmp_path / "and2.blif"
+        blif.write_text(".model and2\n.inputs a b\n.outputs y\n"
+                        ".names a b y\n11 1\n.end\n")
+        out = tmp_path / "missing" / "report"
+        argv = [arg.format(out=out, blif=blif) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert "[R002]" in captured.err and flag in captured.err
+        assert str(tmp_path / "missing") in captured.err
 
 
 class TestEco:

@@ -1,13 +1,14 @@
 """The filter-agrees gate: the matcher with its cut filter on vs off.
 
 The cut filter is a pure acceleration — a sound pre-filter in front of
-the same injective matcher — so on every Table-2 (44-1, 8 variants) and
-Table-3 (44-3, 4 variants) suite circuit the filter forced on and forced
-off must produce *identical* delay, area and mapped-BLIF bytes, for DAG
-covering and tree covering alike, whatever the matcher's own rule would
-pick.  Any divergence is a bug in the filter (see also fuzz oracle F009,
-which hunts the same property on random circuits).  The rule itself is
-checked case by case in ``TestFilterRule``.
+the same injective matcher — so on every Table-2/3 suite circuit under
+44-1 (8 variants), 44-3 (4 variants) and lib2 (8 variants) the filter
+forced on and forced off must produce *identical* delay, area and
+mapped-BLIF bytes, for DAG covering and tree covering alike, whatever
+the matcher's own rule would pick.  Any divergence is a bug in the
+filter (see also fuzz oracle F009, which hunts the same property on
+random circuits).  The rule itself is checked case by case in
+``TestFilterRule``.
 """
 
 import pytest
@@ -34,6 +35,11 @@ from repro.perf.trie import PatternTrie
 @pytest.fixture(scope="module")
 def lib443_patterns():
     return PatternSet(lib44_3(), max_variants=4)
+
+
+@pytest.fixture(scope="module")
+def lib2_patterns():
+    return PatternSet(lib2_like(), max_variants=8)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,21 @@ class TestTable3:
     @pytest.mark.parametrize("name", TABLE23_NAMES)
     def test_tree_identical(self, name, subjects, lib443_patterns):
         s, c = both_filters(map_tree, subjects[name], lib443_patterns)
+        assert outputs(c) == outputs(s)
+
+
+class TestLib2:
+    """lib2-like library (17 gates), 8 variants: below the rule's
+    threshold, so only forcing runs the filter here."""
+
+    @pytest.mark.parametrize("name", TABLE23_NAMES)
+    def test_dag_identical(self, name, subjects, lib2_patterns):
+        s, c = both_filters(map_dag, subjects[name], lib2_patterns)
+        assert outputs(c) == outputs(s)
+
+    @pytest.mark.parametrize("name", TABLE23_NAMES)
+    def test_tree_identical(self, name, subjects, lib2_patterns):
+        s, c = both_filters(map_tree, subjects[name], lib2_patterns)
         assert outputs(c) == outputs(s)
 
 
@@ -156,10 +177,10 @@ class TestFilterRule:
         assert matcher.filter_on is expected
 
     def test_thresholds_split_the_builtin_libraries(self, lib441_patterns,
-                                                   lib443_patterns):
+                                                   lib443_patterns,
+                                                   lib2_patterns):
         assert len(PatternTrie(lib443_patterns).groups) >= CUT_FILTER_MIN_GROUPS
-        for patterns in (lib441_patterns,
-                         PatternSet(lib2_like(), max_variants=8)):
+        for patterns in (lib441_patterns, lib2_patterns):
             assert len(PatternTrie(patterns).groups) < CUT_FILTER_MIN_GROUPS
 
     def test_off_below_the_gate_threshold(self, lib443_patterns):

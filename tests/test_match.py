@@ -9,10 +9,12 @@ import random
 
 import pytest
 
-from repro.core.match import Matcher, MatchKind, verify_match
+from repro.core.match import Match, Matcher, MatchKind, verify_match
 from repro.library.builtin import lib2_like, mini_library
 from repro.library.patterns import PatternSet
+from repro.network.bitsim import cone_words
 from repro.network.decompose import decompose_network
+from repro.network.functions import variable_bits
 from repro.bench import circuits
 from repro.network.subject import SubjectGraph
 
@@ -219,36 +221,78 @@ class TestCompletenessOracle:
         assert "inv" in by_gate3
 
 
+def cone_computes_gate(match) -> bool:
+    """Does the matched subject cone compute the gate's function?
+
+    EXTENDED matches drop injectivity, so they are the one match class
+    where an unsound binding could silently change functionality.  The
+    check evaluates the subject cone between the match root and its leaf
+    nodes over packed truth-table words and compares it against the
+    gate's truth table with its pins bound to the same words.  Free
+    variables go only to *pure* leaves: a subject node bound both as a
+    leaf and as an interior node (an unfolding artefact) always equals
+    its own cone function of the deeper leaves, so both sides evaluate
+    it that way, and shared leaves tie the corresponding gate inputs
+    together on both sides.
+    """
+    leaves = match.leaves()
+    interior = {snode.uid for snode in match.internal_nodes()}
+    order = list(
+        {node.uid: node for _, node in leaves if node.uid not in interior}
+        .values()
+    )
+    mask = (1 << (1 << len(order))) - 1
+    leaf_words = {
+        node.uid: variable_bits(k, len(order)) for k, node in enumerate(order)
+    }
+    pin_word = {pin: cone_words(node, leaf_words, mask) for pin, node in leaves}
+    expected = match.gate.tt.eval_words(
+        [pin_word.get(pin, 0) for pin in match.gate.inputs], mask
+    )
+    return cone_words(match.root, leaf_words, mask) == expected
+
+
 class TestConeCrosscheck:
-    """Matcher(crosscheck=True) functionally verifies EXTENDED matches
-    against the packed subject-cone function; it must accept every match
-    the plain matcher produces (the matches are sound) while counting
-    the verifications it performed."""
+    """The packed-cone functional check accepts every EXTENDED match the
+    matcher produces (the matches are sound) and rejects a corrupted one
+    (the check can fail)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_crosscheck_accepts_all_matches(self, mini_patterns, seed):
         subject = random_subject(seed)
-        plain = Matcher(mini_patterns, MatchKind.EXTENDED)
-        checked = Matcher(mini_patterns, MatchKind.EXTENDED, crosscheck=True)
-        plain.attach(subject)
-        checked.attach(subject)
+        matcher = Matcher(mini_patterns, MatchKind.EXTENDED)
+        matcher.attach(subject)
         total = 0
         for node in subject.topological():
-            a = plain.matches_at(node)
-            b = checked.matches_at(node)
-            assert [(m.pattern.gate.name, m.root.uid) for m in a] == [
-                (m.pattern.gate.name, m.root.uid) for m in b
-            ]
-            total += len(b)
-        assert checked.stats.cone_crosschecks == total > 0
+            for match in matcher.matches_at(node):
+                assert cone_computes_gate(match), match
+                total += 1
+        assert total > 0
 
-    def test_crosscheck_noop_for_other_kinds(self, mini_patterns):
-        subject = random_subject(5)
-        matcher = Matcher(mini_patterns, MatchKind.STANDARD, crosscheck=True)
+    def test_crosscheck_rejects_corrupted_binding(self, mini_patterns):
+        subject = random_subject(1)
+        matcher = Matcher(mini_patterns, MatchKind.EXTENDED)
         matcher.attach(subject)
+        # aoi21 = !(a*b + c) is not symmetric in a and c: exchanging the
+        # subject nodes bound to those pins breaks the match whenever the
+        # two leaves are distinct pure leaves.
+        corrupted_matches = 0
         for node in subject.topological():
-            matcher.matches_at(node)
-        assert matcher.stats.cone_crosschecks == 0
+            for match in matcher.matches_at(node):
+                pins = dict(match.leaves())
+                interior = {n.uid for n in match.internal_nodes()}
+                if (match.gate.name != "aoi21" or pins["a"] is pins["c"]
+                        or {pins["a"].uid, pins["c"].uid} & interior):
+                    continue
+                swap = {"a": pins["c"], "c": pins["a"]}
+                binding = dict(match.binding)
+                for leaf in match.pattern.leaves:
+                    if leaf.pin in swap:
+                        binding[leaf.uid] = swap[leaf.pin]
+                corrupted = Match(match.pattern, match.root, binding)
+                assert not cone_computes_gate(corrupted), corrupted
+                corrupted_matches += 1
+        assert corrupted_matches > 0
 
     def test_uses_floor_hoisted(self, mini_patterns):
         subject = random_subject(6)

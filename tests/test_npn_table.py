@@ -8,14 +8,16 @@ per-pattern-set memo, and parameter validation.
 import pytest
 
 from repro.errors import LibraryError
+from repro.library.builtin import lib44_3
 from repro.library.npn_table import (
     build_npn_table,
     pattern_chain,
     pattern_shape,
     table_for,
 )
+from repro.library.patterns import PatternSet
 from repro.network.functions import TruthTable
-from repro.network.npn import apply_transform, npn_canonical
+from repro.network.npn import NPN_STATS, apply_transform, npn_canonical
 
 
 def fresh(patterns, **kwargs):
@@ -148,6 +150,16 @@ class TestTableFor:
         a = table_for(mini_patterns)
         b = table_for(mini_patterns)
         assert a is b
+
+    def test_repeat_build_served_by_npn_memo(self):
+        """A second 44-3 build canonicalises nothing anew."""
+        patterns = PatternSet(lib44_3(), max_variants=4)
+        fresh(patterns)
+        before = NPN_STATS.snapshot()
+        fresh(patterns)
+        delta = NPN_STATS.delta(before)
+        assert delta.misses == 0
+        assert delta.hits > 0
 
     def test_distinct_parameters_distinct_tables(self, mini_patterns):
         a = table_for(mini_patterns)
