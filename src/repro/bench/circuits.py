@@ -111,10 +111,6 @@ def _xor_tree(net: BooleanNetwork, signals: Sequence[str], tag: str) -> str:
     return _reduce_tree(net, signals, "^", tag)
 
 
-def _and_tree(net: BooleanNetwork, signals: Sequence[str], tag: str) -> str:
-    return _reduce_tree(net, signals, "*", tag)
-
-
 def _or_tree(net: BooleanNetwork, signals: Sequence[str], tag: str) -> str:
     return _reduce_tree(net, signals, "+", tag)
 

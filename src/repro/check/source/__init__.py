@@ -20,9 +20,8 @@ catalogued in ``docs/CHECKING.md``) with a real
   ``assert`` used for runtime validation.
 
 Intentional violations are silenced inline with ``# repro:
-allow[S###]`` on the flagged line; pre-existing ones can be
-grandfathered in a committed ``analysis-baseline.json`` — the CI gate
-fails only on *new* findings (:func:`new_findings`).
+allow[S###]`` on the flagged line; every other finding gates (the CI
+runs ``repro-map check --source --strict`` and expects none).
 """
 
 from repro.check.source.analyzer import (
@@ -31,24 +30,12 @@ from repro.check.source.analyzer import (
     analyze_paths,
     parse_module,
 )
-from repro.check.source.baseline import (
-    BASELINE_SCHEMA,
-    finding_key,
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
 from repro.check.source.suppress import suppressions_for_source
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "ModuleInfo",
     "analyze_package",
     "analyze_paths",
-    "finding_key",
-    "load_baseline",
-    "new_findings",
     "parse_module",
-    "save_baseline",
     "suppressions_for_source",
 ]

@@ -40,7 +40,7 @@ class ModuleInfo:
     Attributes:
         path: the path the file was read from (used for display).
         rel: forward-slash path relative to the analyzed root, used as
-            the stable location in diagnostics and baseline keys.
+            the stable location in diagnostics.
         module: dotted module name (``repro.perf.parallel``) when the
             file sits inside the ``repro`` package, else the stem.
         tree: the parsed AST.

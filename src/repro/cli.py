@@ -433,22 +433,11 @@ def _cmd_check_source(args: argparse.Namespace) -> int:
 
     With no positional inputs the installed :mod:`repro` package is
     analyzed (the self-application CI runs); otherwise the given files
-    and directories are.  ``--baseline`` grandfathers a committed set of
-    findings: everything is still printed, but only *new* occurrences
-    drive the exit code.  ``--update-baseline`` rewrites that file from
-    the current findings instead of gating.
+    and directories are.  Every finding gates (warnings only with
+    ``--strict``); intentional ones carry an inline ``# repro:
+    allow[S###]``.
     """
-    import os as _os
-
-    from repro.check.diagnostics import CheckReport
-    from repro.check.source import (
-        analyze_package,
-        analyze_paths,
-        load_baseline,
-        new_findings,
-        save_baseline,
-    )
-    from repro.errors import ReproError
+    from repro.check.source import analyze_package, analyze_paths
 
     if args.inputs:
         report = analyze_paths(args.inputs)
@@ -457,43 +446,17 @@ def _cmd_check_source(args: argparse.Namespace) -> int:
         report = analyze_package()
         label = "package repro"
 
-    if args.update_baseline:
-        save_baseline(args.baseline, report)
-        print(
-            f"baseline written: {args.baseline} "
-            f"({len(report)} finding(s) from {label})"
-        )
-        return 0
-
     print(f"== source analysis: {label} ==")
     text = report.format()
     if text:
         print(text)
-
-    gate = report
-    if args.baseline and _os.path.exists(args.baseline):
-        try:
-            baseline = load_baseline(args.baseline)
-        except ReproError as exc:
-            raise SystemExit(f"repro check: {exc}") from None
-        fresh = new_findings(report, baseline)
-        grandfathered = len(report) - len(fresh)
-        if grandfathered:
-            print(
-                f"note: {grandfathered} finding(s) match the committed "
-                f"baseline ({args.baseline}) and do not gate"
-            )
-        gate = CheckReport(diagnostics=list(fresh), meta=dict(report.meta))
-    elif args.baseline:
-        print(f"note: baseline {args.baseline} not found; gating on all findings")
-
     suppressed = report.meta.get("suppressed", 0)
     print(
         f"summary: {report.summary()} over {report.meta.get('files', 0)} "
         f"file(s), {suppressed} suppressed inline; "
-        f"gating on {len(gate)} finding(s)"
+        f"gating on {len(report)} finding(s)"
     )
-    return gate.exit_code(strict=args.strict)
+    return report.exit_code(strict=args.strict)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -980,13 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--source", action="store_true",
                        help="run the S### source linter over the repro "
                             "package (or the given files/directories)")
-    p_chk.add_argument("--baseline", default="analysis-baseline.json",
-                       help="grandfathered-findings file for --source "
-                            "(gate only on new findings; default "
-                            "%(default)s, skipped when absent)")
-    p_chk.add_argument("--update-baseline", action="store_true",
-                       help="rewrite --baseline from the current --source "
-                            "findings instead of gating")
     p_chk.add_argument("--library", "-l", default="lib2",
                        help="library for --certify (builtin name or genlib)")
     p_chk.add_argument("--mode", choices=("dag", "tree"), default="dag")
@@ -1142,8 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--match", choices=("standard", "exact", "extended"),
                        default="standard")
         p.add_argument("--seed", type=int, default=None,
-                       help="variant-generation seed (default: "
-                            "REPRO_TUNE_SEED or 2024)")
+                       help="variant-generation seed (default 2024)")
         p.add_argument("--no-check", action="store_true",
                        help="skip the in-worker mapping certificate "
                             "(on by default: every front point is "

@@ -719,8 +719,11 @@ class Matcher:
             finally:
                 stack.append((pnode, snode))
 
-        for _ in assign():
-            yield dict(binding)
+        try:
+            for _ in assign():
+                yield dict(binding)
+        finally:
+            del assign  # break the closure's self-reference (see cone_signature)
 
     def subject_uses(self, snode: SubjectNode) -> int:
         """Fanout-use count of a subject node (edges plus PO references)."""

@@ -21,8 +21,10 @@ class MappingResult:
     Attributes:
         netlist: the mapped circuit.
         labels: the labeling that produced it.
-        delay: optimal arrival reported by labeling (== STA delay under
-            the load-independent model; asserted by the mappers).
+        delay: the labeling's optimal arrival under the delay objective,
+            the netlist's STA delay under the area objective.  Under the
+            load-independent model the two agree; the mappers do not run
+            STA to confirm it, the tests pin it.
         area: total cell area of the netlist.
         cpu_seconds: wall-clock mapping time (labeling + cover).
         mode: 'dag' or 'tree'.

@@ -76,10 +76,12 @@ def map_tree(
     netlist = build_cover(labels, name=f"{subject.name}_tree")
     elapsed = time.perf_counter() - start
 
-    from repro.timing.sta import analyze
+    if objective == "delay":
+        delay = labels.max_arrival
+    else:
+        from repro.timing.sta import analyze  # local import to avoid a cycle
 
-    report = analyze(netlist, arrival_times=arrival_times)
-    delay = labels.max_arrival if objective == "delay" else report.delay
+        delay = analyze(netlist, arrival_times=arrival_times).delay
     result = MappingResult(
         netlist=netlist,
         labels=labels,

@@ -100,10 +100,6 @@ REGISTRY: Dict[str, EnvVar] = _registry(
             "REPRO_FUZZ_INJECT", "str", None,
             "deterministic fuzz-oracle mutation: delay|cover|corrupt|engine",
         ),
-        EnvVar(
-            "REPRO_TUNE_SEED", "int", "2024",
-            "base PRNG seed for library-variant generation in repro.tune",
-        ),
     )
 )
 

@@ -10,18 +10,13 @@ pattern set** (:func:`table_for`):
 * a *truncation chain* per pattern: for each height ``t`` up to
   ``depth_cap``, truncate the pattern at its nodes of min-distance
   ``>= t`` from the root; whenever that frontier has at most ``k``
-  members, record ``(t, n, npn_canonical(frontier function))``.  Any
-  injective structural match of the pattern maps the height-``t``
-  frontier onto a subject cut of size ``<= k`` whose cone function is
-  NPN-equal and whose minimum derivation depth is ``<= t`` — so a
-  subject node lacking such a cut can skip the pattern entirely.  (The
-  argument needs fanin-multiset-preserving matches, which holds for
-  STANDARD/EXACT; the filter never runs for EXTENDED.)
-* an *NPN-class -> cells* hash table: every library cell function with
-  at most ``cell_limit`` inputs, canonised with
-  :func:`repro.network.npn.npn_canonical`, keyed by class with the
-  input transform kept alongside — :meth:`NPNTable.lookup` maps a cut
-  function straight to the cells (and pin transforms) realising it.
+  members, record ``(t, n, canonical bits)`` of the frontier function's
+  NPN class.  Any injective structural match of the pattern maps the
+  height-``t`` frontier onto a subject cut of size ``<= k`` whose cone
+  function is NPN-equal and whose minimum derivation depth is ``<= t``
+  — so a subject node lacking such a cut can skip the pattern entirely.
+  (The argument needs fanin-multiset-preserving matches, which holds
+  for STANDARD/EXACT; the filter never runs for EXTENDED.)
 * a *truncated shape* per pattern: the pattern tree cut off at depth
   ``depth_cap``, leaves and deeper structure collapsed to a wildcard.
   Any injective match embeds this shape into the subject cone's
@@ -30,32 +25,35 @@ pattern set** (:func:`table_for`):
   possibly align — a structural complement to the functional chains,
   which cannot see bracketing at all.
 * a *chain-orbit map*: every function NPN-equivalent to some chain
-  entry, mapped to that entry's ``(n, canonical bits)``.  The matcher
-  looks a subject cut's function up here instead of canonicalising it:
-  a function outside the map is in no chain's class, so it can satisfy
-  no chain entry.  The chains of 44-3 at four variants use ten classes,
-  so the map holds 548 entries.
+  entry, mapped to that entry's ``(n, canonical bits)``.  The chains
+  are classified through this one map: a frontier function is looked
+  up, and on a miss its NPN orbit (the ``2 * 2^n * n!`` images under
+  input permutation, input negation and output negation) is walked once
+  and every image stored under the orbit's minimum — exactly the
+  smallest form :func:`repro.network.npn.npn_canonical` searches for.
+  The matcher looks a subject cut's function up in the same map: a
+  function outside it is in no chain's class, so it can satisfy no
+  chain entry.  The chains of 44-3 at four variants use ten classes, so
+  the map holds 548 entries.
 
-Building the table costs one NPN canonicalisation per pattern level and
-per cell, plus one orbit walk per chain class — about 0.15 s for the
-876-pattern 44-3 set — and it is built in memory only, at the first
-mapping run that turns the filter on.
+Building the table costs one orbit walk per chain class plus one lookup
+per pattern level — about 0.12 s for the 876-pattern 44-3 set — and it
+is built in memory only, at the first mapping run that turns the
+filter on, always with ``k`` = :data:`DEFAULT_K` and ``depth_cap`` =
+:data:`DEFAULT_DEPTH_CAP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import LibraryError
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
-from repro.network.functions import TruthTable, variable_bits
-from repro.network.npn import NPNTransform, apply_transform, npn_canonical
+from repro.network.functions import negate_inputs_bits, permute_bits, variable_bits
 from repro.network.subject import NodeType
 
 __all__ = [
-    "CellEntry",
     "NPNTable",
     "build_npn_table",
     "pattern_chain",
@@ -78,10 +76,8 @@ ChainEntry = Tuple[int, int, int]
 #: A pattern's truncation chain, ascending in height.
 Chain = Tuple[ChainEntry, ...]
 
-#: One class member: the cell name and the transform mapping the cell
-#: function onto the class representative
-#: (``apply_transform(transform, gate.tt) == canonical``).
-CellEntry = Tuple[str, NPNTransform]
+#: ``(n, function bits) -> (n, canonical bits)`` over whole NPN orbits.
+OrbitMap = Dict[Tuple[int, int], Tuple[int, int]]
 
 #: A depth-truncated pattern shape: ``("?",)`` wildcard (leaf or beyond
 #: the depth cap), ``("I", child)`` inverter, ``("N", a, b)`` NAND with
@@ -95,6 +91,7 @@ def pattern_chain(
     pattern: PatternGraph,
     k: int = DEFAULT_K,
     depth_cap: int = DEFAULT_DEPTH_CAP,
+    orbits: Optional[OrbitMap] = None,
 ) -> Chain:
     """The truncation chain of one pattern (see the module docstring).
 
@@ -102,8 +99,11 @@ def pattern_chain(
     distance from the root is ``>= t`` (leaves always terminate); the
     entry is emitted only when that frontier has ``<= k`` members.  The
     frontier function is evaluated as a packed word over the frontier
-    ordered by node uid and NPN-canonised.
+    ordered by node uid and classified through ``orbits`` (a fresh map
+    when ``None``), which gains the orbit of every new class.
     """
+    if orbits is None:
+        orbits = {}
     dist: Dict[int, int] = {pattern.root.uid: 0}
     frontier: List[PatternNode] = [pattern.root]
     while frontier:
@@ -134,11 +134,28 @@ def pattern_chain(
             continue
         order = sorted(leaves, key=lambda n: n.uid)
         n = len(order)
-        canonical, _ = npn_canonical(
-            TruthTable(n, _cone_bits(pattern.root, order))
-        )
-        chain.append((t, n, canonical.bits))
+        chain.append((t, n, _classify(orbits, n, _cone_bits(pattern.root, order))))
     return tuple(chain)
+
+
+def _classify(orbits: OrbitMap, n: int, bits: int) -> int:
+    """Canonical bits of an ``n``-input function, filling ``orbits``.
+
+    A miss walks the function's orbit in permutation / input-negation /
+    output-negation order and stores every image under the minimum.
+    """
+    cls = orbits.get((n, bits))
+    if cls is None:
+        full = (1 << (1 << n)) - 1
+        images: List[int] = []
+        for perm in permutations(range(n)):
+            for neg in range(1 << n):
+                image = permute_bits(negate_inputs_bits(bits, neg, n), perm, n)
+                images += (image, image ^ full)
+        cls = (n, min(images))
+        for image in images:
+            orbits[(n, image)] = cls
+    return cls[1]
 
 
 def pattern_shape(
@@ -198,153 +215,42 @@ class NPNTable:
     """Precomputed NPN data of one pattern set (see the module docstring).
 
     Attributes:
-        k: frontier/cut-size bound the chains were built with.
-        depth_cap: truncation-height bound.
-        cell_limit: max cell input count admitted to ``cell_classes``.
         chains: one chain per pattern, aligned with
             ``PatternSet.patterns`` order.
         shapes: one depth-truncated shape per pattern, same alignment
             (see :func:`pattern_shape`).
-        cell_classes: ``(n, canonical bits) -> cells`` in that class,
-            each with the transform mapping the *cell function onto the
-            representative*.
         chain_orbits: ``(n, function bits) -> (n, canonical bits)`` for
             every function in the NPN class of some chain entry.
+        k: frontier/cut-size bound the chains were built with (a class
+            constant, :data:`DEFAULT_K`).
+        depth_cap: truncation-height bound (:data:`DEFAULT_DEPTH_CAP`).
     """
 
-    k: int
-    depth_cap: int
-    cell_limit: int
     chains: Tuple[Chain, ...]
     shapes: Tuple[Shape, ...]
-    cell_classes: Dict[Tuple[int, int], Tuple[CellEntry, ...]]
-    chain_orbits: Dict[Tuple[int, int], Tuple[int, int]]
-
-    def lookup(self, tt: TruthTable) -> List[Tuple[str, NPNTransform]]:
-        """Cells realising ``tt``, with the cut -> cell input transform.
-
-        For each returned ``(name, transform)``,
-        ``apply_transform(transform, tt) == gate.tt`` — i.e. the
-        transform carries the cut function onto the cell function, so
-        its permutation/negations say which cut leaf (and phase) drives
-        which cell pin.  Empty when no cell of ``<= cell_limit`` inputs
-        matches.
-        """
-        from repro.network.npn import compose_transforms, invert_transform
-
-        canonical, to_canon = npn_canonical(tt)
-        out: List[Tuple[str, NPNTransform]] = []
-        for name, cell_to_canon in self.cell_classes.get(
-            (tt.n_vars, canonical.bits), ()
-        ):
-            out.append(
-                (name, compose_transforms(invert_transform(cell_to_canon),
-                                          to_canon))
-            )
-        return out
-
-    def chain_of(self, index: int) -> Chain:
-        """The chain of the pattern at ``index`` in pattern-set order."""
-        return self.chains[index]
-
-    def shape_of(self, index: int) -> Shape:
-        """The shape of the pattern at ``index`` in pattern-set order."""
-        return self.shapes[index]
+    chain_orbits: OrbitMap
+    k: ClassVar[int] = DEFAULT_K
+    depth_cap: ClassVar[int] = DEFAULT_DEPTH_CAP
 
 
-def _build_cell_classes(
-    patterns: PatternSet, cell_limit: int
-) -> Dict[Tuple[int, int], Tuple[CellEntry, ...]]:
-    classes: Dict[Tuple[int, int], List[CellEntry]] = {}
-    for gate in patterns.library:
-        if gate.n_inputs < 1 or gate.n_inputs > cell_limit:
-            continue
-        canonical, transform = npn_canonical(gate.tt)
-        classes.setdefault((gate.n_inputs, canonical.bits), []).append(
-            (gate.name, transform)
-        )
-    return {key: tuple(entries) for key, entries in classes.items()}
-
-
-def _chain_orbits(
-    chains: Iterable[Chain],
-) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Every function NPN-equivalent to a chain entry -> its class."""
-    orbits: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for n, canonical in sorted({(n, bits) for chain in chains for _t, n, bits in chain}):
-        tt = TruthTable(n, canonical)
-        for perm in permutations(range(n)):
-            for neg in range(1 << n):
-                for out_neg in (False, True):
-                    image = apply_transform(NPNTransform(perm, neg, out_neg), tt)
-                    orbits[(n, image.bits)] = (n, canonical)
-    return orbits
-
-
-def build_npn_table(
-    patterns: PatternSet,
-    k: int = DEFAULT_K,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    cell_limit: Optional[int] = None,
-) -> NPNTable:
-    """Build the NPN table of one pattern set.
-
-    Args:
-        patterns: the pattern set (the table aligns with its order).
-        k: frontier/cut-size bound for chains (<= 6; the subject-side
-            cut enumeration must use the same k).
-        depth_cap: truncation-height bound for chains.
-        cell_limit: admit cells with at most this many inputs into the
-            class table (default ``k``; n = 5/6 canonicalisation costs
-            tens of ms to half a second per *new* class, so widening
-            beyond 4 is an explicit choice).
-
-    Raises:
-        LibraryError: ``k`` or ``depth_cap`` out of range.
-    """
-    if not 1 <= k <= 6:
-        raise LibraryError(f"NPN table k must be in 1..6, got {k}")
-    if depth_cap < 1:
-        raise LibraryError(f"NPN table depth_cap must be >= 1, got {depth_cap}")
-    limit = k if cell_limit is None else cell_limit
-    chains = tuple(
-        pattern_chain(p, k=k, depth_cap=depth_cap) for p in patterns.patterns
-    )
+def build_npn_table(patterns: PatternSet) -> NPNTable:
+    """Build the NPN table of one pattern set (aligned with its order)."""
+    orbits: OrbitMap = {}
     return NPNTable(
-        k=k,
-        depth_cap=depth_cap,
-        cell_limit=limit,
-        chains=chains,
-        shapes=tuple(
-            pattern_shape(p, depth_cap) for p in patterns.patterns
-        ),
-        cell_classes=_build_cell_classes(patterns, limit),
-        chain_orbits=_chain_orbits(chains),
+        chains=tuple(pattern_chain(p, orbits=orbits) for p in patterns.patterns),
+        shapes=tuple(pattern_shape(p) for p in patterns.patterns),
+        chain_orbits=orbits,
     )
 
 
-def table_for(
-    patterns: PatternSet,
-    k: int = DEFAULT_K,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    cell_limit: Optional[int] = None,
-) -> NPNTable:
+def table_for(patterns: PatternSet) -> NPNTable:
     """The NPN table of ``patterns``, memoized on the pattern set.
 
     Repeated mapping runs over one in-process :class:`PatternSet` (the
-    suite harness, the benchmarks) share one table build; distinct
-    parameter combinations get distinct entries.
+    suite harness, the benchmarks) share one table build.
     """
-    memo: Dict[Tuple[int, int, Optional[int]], NPNTable]
-    memo = getattr(patterns, "_npn_tables", None)  # type: ignore[assignment]
-    if memo is None:
-        memo = {}
-        setattr(patterns, "_npn_tables", memo)
-    memo_key = (k, depth_cap, cell_limit)
-    table = memo.get(memo_key)
+    table: Optional[NPNTable] = getattr(patterns, "_npn_table", None)
     if table is None:
-        table = build_npn_table(
-            patterns, k=k, depth_cap=depth_cap, cell_limit=cell_limit
-        )
-        memo[memo_key] = table
+        table = build_npn_table(patterns)
+        setattr(patterns, "_npn_table", table)
     return table

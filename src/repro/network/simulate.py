@@ -20,7 +20,7 @@ The random batch width and seed follow ``REPRO_SIM_VECTORS`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.network import bitsim
@@ -53,12 +53,6 @@ class Counterexample:
             f"output {self.output!r} differs ({self.value_a} vs {self.value_b}) "
             f"on [{bits}]"
         )
-
-
-def _adapt(obj: Any) -> Tuple[List[str], List[str], Callable[[Dict[str, int], int], Dict[str, int]]]:
-    """Return (input names, output names, simulate fn) for any circuit object."""
-    sim = bitsim.adapt(obj)
-    return sim.inputs, sim.outputs, sim.run
 
 
 def input_names(obj: Any) -> List[str]:

@@ -1,9 +1,12 @@
-"""Instrumentation counters for the matcher performance layer.
+"""Instrumentation counters: three classes, one per layer that counts.
 
-A :class:`MatchStats` instance rides along with one :class:`Matcher` and
-counts the work the caches saved or performed.  The counters surface in
-:class:`repro.core.labeling.Labels`/:class:`repro.core.result.MappingResult`
-and in the per-circuit records of ``repro-map table --bench-json``.
+* :class:`MatchStats` rides along with one :class:`Matcher` and counts
+  the work its caches and cut filter saved or performed; it surfaces in
+  :class:`repro.core.labeling.Labels`/:class:`repro.core.result.MappingResult`
+  and in the per-circuit records of ``repro-map table --bench-json``.
+* :class:`SimStats` accumulates the bit-parallel simulation kernel's
+  invocations.
+* :class:`RunStats` holds the worker pool supervisor's counters.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Sequence
 
-__all__ = ["MatchStats", "NPNStats", "SimStats", "RunStats", "percentile"]
+__all__ = ["MatchStats", "SimStats", "RunStats", "percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -80,59 +83,6 @@ class MatchStats:
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
         out["signature_hit_rate"] = round(self.signature_hit_rate, 4)
-        return out
-
-
-@dataclass
-class NPNStats:
-    """Counters for the memoized NPN canonicaliser (:mod:`repro.network.npn`).
-
-    One process-wide accumulator (``repro.network.npn.NPN_STATS``) counts
-    every :func:`~repro.network.npn.npn_canonical` call; the cut-filter
-    bench asserts on a before/after delta that repeated canonicalisation
-    of a library is served from the memo instead of re-running the
-    ``2^n * n! * 2`` search.
-
-    Attributes:
-        hits: calls answered from the memo.
-        misses: calls that ran the exhaustive canonical search.
-        orbit_entries: memo entries written by orbit filling (one miss on
-            an n <= 4 function stores its entire NPN orbit).
-        evictions: entries dropped from the bounded n >= 5 LRU.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    orbit_entries: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def merge(self, other: "NPNStats") -> "NPNStats":
-        """Accumulate another run's counters into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def snapshot(self) -> "NPNStats":
-        """An independent copy (for before/after deltas)."""
-        return NPNStats(self.hits, self.misses, self.orbit_entries, self.evictions)
-
-    def delta(self, since: "NPNStats") -> "NPNStats":
-        """Counters accumulated after ``since`` was snapshotted."""
-        return NPNStats(
-            self.hits - since.hits,
-            self.misses - since.misses,
-            self.orbit_entries - since.orbit_entries,
-            self.evictions - since.evictions,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["hit_rate"] = round(self.hit_rate, 4)
         return out
 
 

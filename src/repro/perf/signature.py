@@ -125,4 +125,8 @@ def cone_signature(
             visit(fanin, False)
 
     visit(root, True)
+    # ``visit`` refers to itself through its closure; dropping the name
+    # breaks that cycle, so the call's state is freed by refcounting
+    # instead of piling up for the cyclic garbage collector.
+    del visit
     return tuple(tokens), nodes

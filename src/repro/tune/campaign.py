@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.env import read_int
 from repro.errors import RunnerConfigError
 from repro.library.variants import generate_variants, neighbor_specs
 from repro.perf.campaign import (
@@ -58,13 +57,6 @@ DEFAULT_TARGETS: Tuple[float, ...] = (1.0, 1.1, 1.25)
 
 #: A campaign source: (label stem, CampaignJob source tuple, weight).
 Source = Tuple[str, Tuple[str, ...], int]
-
-
-def _tune_seed(seed: Optional[int]) -> int:
-    if seed is not None:
-        return int(seed)
-    value = read_int("REPRO_TUNE_SEED", 2024)
-    return 2024 if value is None else value
 
 
 def suite_sources(names: Sequence[str]) -> List[Source]:
@@ -113,8 +105,8 @@ class LatticeConfig:
         check: run the target-aware mapping certificate in-worker
             (default on — front points must be certificate-backed).
         verify: simulate every cover against its source network.
-        seed: base PRNG seed for variant generation (default:
-            ``REPRO_TUNE_SEED`` or 2024).
+        seed: base PRNG seed for variant generation (``None`` means
+            2024).
     """
 
     variants: int = 4
@@ -186,7 +178,7 @@ def lattice_jobs(
         drop=config.drop,
         delay=config.delay_jitter,
         area=config.area_jitter,
-        seed=_tune_seed(config.seed),
+        seed=2024 if config.seed is None else config.seed,
     )
     jobs: List[CampaignJob] = []
     for stem, source, weight in sources:

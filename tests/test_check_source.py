@@ -3,30 +3,20 @@
 Mutation oracles: for every code, a minimal source snippet that MUST
 fire it, a near-miss that must NOT, and an inline ``# repro:
 allow[...]`` variant proving the suppression silences exactly that
-code.  Plus the baseline mechanism, the CLI wiring, and the
-self-application gate the CI job runs (the package must be clean
-against the committed ``analysis-baseline.json``).
+code.  Plus the CLI wiring and the self-application gate the CI job
+runs (the package must have zero findings under ``--strict``).
 """
 
-import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.check.diagnostics import CODES, CheckReport, Severity
+from repro.check.diagnostics import CODES, Severity
 from repro.check.source import (
-    BASELINE_SCHEMA,
     analyze_package,
     analyze_paths,
-    finding_key,
-    load_baseline,
-    new_findings,
-    save_baseline,
     suppressions_for_source,
 )
 from repro.cli import main
-from repro.errors import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -545,57 +535,14 @@ class TestSuppressions:
         assert codes_of(report) == ["S104"]
 
 
-class TestBaseline:
-    def _report_with(self, *messages):
-        report = CheckReport()
-        from repro.errors import SourceLoc
-        for i, message in enumerate(messages):
-            report.add("S104", message,
-                       loc=SourceLoc(file="repro/a.py", line=10 + i),
-                       obj="flag")
-        return report
-
-    def test_key_is_line_free(self):
-        report = self._report_with("direct environ read")
-        key = finding_key(report.diagnostics[0])
-        assert key == "S104|repro/a.py|flag|direct environ read"
-
-    def test_roundtrip_and_gate(self, tmp_path):
-        report = self._report_with("read one", "read one", "read two")
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), report)
-        baseline = load_baseline(str(path))
-        assert sum(baseline.values()) == 3
-        assert new_findings(report, baseline) == []
-
-    def test_budget_overflow_is_new(self, tmp_path):
-        one = self._report_with("read one")
-        path = tmp_path / "baseline.json"
-        save_baseline(str(path), one)
-        baseline = load_baseline(str(path))
-        two = self._report_with("read one", "read one")
-        fresh = new_findings(two, baseline)
-        assert len(fresh) == 1
-
-    def test_schema_validation(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "bogus/9", "findings": {}}))
-        with pytest.raises(ReproError):
-            load_baseline(str(path))
-        assert BASELINE_SCHEMA == "repro-analysis-baseline/1"
-
-
 class TestSelfApplication:
-    def test_package_is_clean_against_committed_baseline(self):
-        """The CI gate: zero non-baseline findings on src/repro itself."""
+    def test_package_is_clean_under_strict(self):
+        """The CI gate: zero findings on src/repro itself."""
         report = analyze_package()
-        baseline = load_baseline(str(REPO_ROOT / "analysis-baseline.json"))
-        fresh = new_findings(report, baseline)
-        assert fresh == [], "\n".join(d.format() for d in fresh)
+        assert len(report) == 0, report.format()
+        assert report.exit_code(strict=True) == 0
 
     def test_package_has_no_errors_at_all(self):
-        # The baseline only grandfathers warnings; errors are fixed, not
-        # baselined.
         report = analyze_package()
         assert report.errors() == []
 
@@ -611,8 +558,7 @@ class TestSourceCli:
         (tmp_path / "mod.py").write_text(
             "import os\n\ndef f():\n    return os.getenv('X')\n"
         )
-        assert main(["check", "--source", str(tmp_path),
-                     "--baseline", str(tmp_path / "missing.json")]) == 1
+        assert main(["check", "--source", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "S104" in out
 
@@ -620,24 +566,9 @@ class TestSourceCli:
         (tmp_path / "mod.py").write_text(
             "def f(n):\n    assert n > 0, 'bad'\n    return n\n"
         )
-        base = str(tmp_path / "missing.json")
-        assert main(["check", "--source", str(tmp_path),
-                     "--baseline", base]) == 0
-        assert main(["check", "--source", str(tmp_path),
-                     "--baseline", base, "--strict"]) == 1
+        assert main(["check", "--source", str(tmp_path)]) == 0
+        assert main(["check", "--source", str(tmp_path), "--strict"]) == 1
         capsys.readouterr()
-
-    def test_update_baseline_then_gate(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(
-            "def f(n):\n    assert n > 0, 'bad'\n    return n\n"
-        )
-        base = str(tmp_path / "baseline.json")
-        assert main(["check", "--source", str(tmp_path),
-                     "--baseline", base, "--update-baseline"]) == 0
-        assert main(["check", "--source", str(tmp_path),
-                     "--baseline", base, "--strict"]) == 0
-        out = capsys.readouterr().out
-        assert "match the committed baseline" in out
 
     def test_package_self_application_via_cli(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import circuits
+from repro.bench.suite import TABLE23_NAMES, build_subject
 from repro.core.dag_mapper import map_dag
 from repro.core.match import MatchKind
 from repro.core.tree_mapper import map_tree, tree_roots
@@ -35,6 +36,17 @@ def mini_patterns():
     return PatternSet(mini_library(), max_variants=8)
 
 
+@pytest.fixture(scope="module")
+def table_inputs(lib2_patterns):
+    """Table-2/3 subject graphs and the lib2@8 / 44-1@8 pattern sets."""
+    subjects = {name: build_subject(name)[1] for name in TABLE23_NAMES}
+    pattern_sets = {
+        "lib2": lib2_patterns,
+        "44-1": PatternSet(lib44_1(), max_variants=8),
+    }
+    return subjects, pattern_sets
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("name", list(FACTORIES))
     def test_both_mappers_equivalent_and_ordered(self, name, lib2_patterns):
@@ -54,6 +66,17 @@ class TestEndToEnd:
                        map_tree(subject, lib2_patterns)):
             report = analyze(result.netlist)
             assert report.delay == pytest.approx(result.delay)
+
+    @pytest.mark.parametrize("mapper", [map_dag, map_tree], ids=["dag", "tree"])
+    @pytest.mark.parametrize("library", ["lib2", "44-1"])
+    @pytest.mark.parametrize("name", TABLE23_NAMES)
+    def test_sta_delay_equals_label_delay(self, name, library, mapper,
+                                          table_inputs):
+        # The mappers report the labeling's arrival without running STA,
+        # so the two must agree exactly, not just within a tolerance.
+        subjects, pattern_sets = table_inputs
+        result = mapper(subjects[name], pattern_sets[library])
+        assert analyze(result.netlist).delay == result.delay
 
     def test_gate_library_accepted_directly(self):
         subject = decompose_network(circuits.c17())

@@ -5,7 +5,9 @@ implementation of Definitions 1-3, on hand-built and randomly generated
 subject graphs.
 """
 
+import gc
 import random
+import types
 
 import pytest
 
@@ -301,3 +303,29 @@ class TestConeCrosscheck:
         floor = matcher.uses_floor
         for node in subject.nodes:
             assert floor[node.uid] == max(1, matcher.subject_uses(node))
+
+
+class TestNoReferenceCycles:
+    def test_matching_leaves_no_closure_cycles(self, lib2_patterns):
+        # The recursive helpers of cone signatures and binding enumeration
+        # run per subject node; they must not leave self-referencing
+        # closures for the cyclic GC.
+        subject = decompose_network(circuits.array_multiplier(4))
+        matcher = Matcher(lib2_patterns, MatchKind.STANDARD)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            matcher.attach(subject)
+            for node in subject.topological():
+                matcher.matches_at(node)
+            del matcher
+            gc.collect()
+            leaked = sorted(
+                obj.__qualname__ for obj in gc.garbage
+                if isinstance(obj, types.FunctionType)
+                and obj.__module__.startswith("repro.")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []

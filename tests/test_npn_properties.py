@@ -1,26 +1,20 @@
-"""Property tests for the NPN transform algebra (repro.network.npn).
+"""Property tests for NPN canonicalisation (repro.network.npn).
 
-The cut matching engine trusts three algebraic facts about
-:class:`NPNTransform`: application/inversion are mutual inverses,
-composition matches sequential application, and the memoized
-:func:`npn_canonical` (orbit-filled for n <= 4, LRU for n >= 5) returns
-byte-identical canonicals — with valid transforms — to the exhaustive
-search.  These properties pin all of them.
+:func:`npn_canonical` is the exhaustive reference: its transform must
+achieve its canonical, the canonical must be a fixpoint shared by every
+image, and the NPN table's orbit map (the memo the matcher's cut filter
+classifies through) must agree with it on every function.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.library.npn_table import _classify
 from repro.network.functions import TruthTable
 from repro.network.npn import (
-    NPN_STATS,
     NPNTransform,
-    _canonical_search,
     apply_transform,
-    clear_npn_cache,
-    compose_transforms,
-    invert_transform,
     npn_canonical,
     npn_equivalent,
 )
@@ -42,44 +36,9 @@ def transforms(draw, n):
 
 
 @st.composite
-def table_with_transforms(draw, count=1, max_vars=4):
-    tt = draw(tables(max_vars=max_vars))
-    ts = [draw(transforms(tt.n_vars)) for _ in range(count)]
-    return (tt, *ts)
-
-
-class TestAlgebra:
-    @given(table_with_transforms())
-    def test_apply_invert_identity(self, case):
-        tt, t = case
-        assert apply_transform(invert_transform(t), apply_transform(t, tt)) == tt
-        assert apply_transform(t, apply_transform(invert_transform(t), tt)) == tt
-
-    @given(table_with_transforms())
-    def test_invert_is_involution(self, case):
-        _, t = case
-        assert invert_transform(invert_transform(t)) == t
-
-    @given(table_with_transforms(count=2))
-    def test_compose_matches_sequential_application(self, case):
-        tt, a, b = case
-        composed = compose_transforms(a, b)
-        assert apply_transform(composed, tt) == apply_transform(
-            a, apply_transform(b, tt)
-        )
-
-    @given(table_with_transforms(count=3))
-    def test_compose_associative(self, case):
-        _, a, b, c = case
-        left = compose_transforms(compose_transforms(a, b), c)
-        right = compose_transforms(a, compose_transforms(b, c))
-        assert left == right
-
-    @given(table_with_transforms())
-    def test_compose_with_inverse_is_identity(self, case):
-        tt, t = case
-        ident = compose_transforms(invert_transform(t), t)
-        assert apply_transform(ident, tt) == tt
+def table_with_transform(draw):
+    tt = draw(tables())
+    return tt, draw(transforms(tt.n_vars))
 
 
 class TestCanonical:
@@ -94,14 +53,21 @@ class TestCanonical:
         again, _ = npn_canonical(canonical)
         assert again == canonical
 
-    @given(tables())
-    def test_memoized_matches_exhaustive_search(self, tt):
-        canonical, _ = npn_canonical(tt)
-        search_bits, search_transform = _canonical_search(tt)
-        assert canonical.bits == search_bits
-        assert apply_transform(search_transform, tt).bits == search_bits
+    @given(table_with_transform())
+    def test_memoized_matches_exhaustive_search(self, case):
+        # One orbit walk of the NPN table's map classifies the function
+        # and every image of it exactly as the exhaustive search does.
+        tt, t = case
+        n = tt.n_vars
+        canonical = npn_canonical(tt)[0].bits
+        orbits = {}
+        assert _classify(orbits, n, tt.bits) == canonical
+        image = apply_transform(t, tt)
+        assert orbits[(n, image.bits)] == (n, canonical)
+        assert _classify(orbits, n, image.bits) == canonical
+        assert set(orbits.values()) == {(n, canonical)}
 
-    @given(table_with_transforms())
+    @given(table_with_transform())
     def test_equivalent_to_every_image(self, case):
         tt, t = case
         image = apply_transform(t, tt)
@@ -114,47 +80,6 @@ class TestCanonical:
             a.n_vars == b.n_vars
         )
         assert npn_equivalent(a, b) == same
-
-    def test_five_var_lru_path(self):
-        # n = 5 skips orbit filling; the memo must still return the
-        # search answer with a valid transform, and hit on re-query.
-        clear_npn_cache()
-        tt = TruthTable(5, 0x9E37_79B9)
-        before = (NPN_STATS.hits, NPN_STATS.misses)
-        canonical, transform = npn_canonical(tt)
-        again, _ = npn_canonical(tt)
-        assert (NPN_STATS.hits, NPN_STATS.misses) == (
-            before[0] + 1,
-            before[1] + 1,
-        )
-        assert again == canonical
-        assert apply_transform(transform, tt) == canonical
-
-
-class TestCache:
-    def test_orbit_fill_hits_whole_class(self):
-        # After one miss on any n <= 4 function, every NPN image of it —
-        # with any transform — must be a cache hit with a valid transform.
-        clear_npn_cache()
-        tt = TruthTable(3, 0b1101_1000)
-        npn_canonical(tt)
-        misses = NPN_STATS.misses
-        for perm in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
-            for neg in range(8):
-                for out in (False, True):
-                    image = apply_transform(NPNTransform(perm, neg, out), tt)
-                    canonical, transform = npn_canonical(image)
-                    assert apply_transform(transform, image) == canonical
-        assert NPN_STATS.misses == misses
-        assert NPN_STATS.orbit_entries > 0
-
-    def test_clear_resets_to_miss(self):
-        tt = TruthTable(2, 0b0110)
-        npn_canonical(tt)
-        clear_npn_cache()
-        misses = NPN_STATS.misses
-        npn_canonical(tt)
-        assert NPN_STATS.misses == misses + 1
 
     def test_oversized_function_rejected(self):
         with pytest.raises(ValueError, match="limited to"):

@@ -1,14 +1,18 @@
 """The precomputed NPN-class table (repro.library.npn_table).
 
 Covers the library side of the matcher's cut filter: chain
-construction, cell-class lookup with transform validity, the
-per-pattern-set memo, and parameter validation.
+construction, the chain-orbit map the chains are classified through
+(differentially against the exhaustive :func:`npn_canonical`), shapes,
+and the per-pattern-set memo.
 """
+
+import hashlib
+from itertools import permutations
 
 import pytest
 
-from repro.errors import LibraryError
-from repro.library.builtin import lib44_3
+from repro.library import npn_table
+from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
 from repro.library.npn_table import (
     build_npn_table,
     pattern_chain,
@@ -17,12 +21,28 @@ from repro.library.npn_table import (
 )
 from repro.library.patterns import PatternSet
 from repro.network.functions import TruthTable
-from repro.network.npn import NPN_STATS, apply_transform, npn_canonical
+from repro.network.npn import NPNTransform, apply_transform, npn_canonical
+
+#: The pattern sets the mapper's experiments use: (library, variants).
+LIBRARIES = {
+    "lib2": (lib2_like, 8),
+    "44-1": (lib44_1, 8),
+    "44-3": (lib44_3, 4),
+    "mini": (mini_library, 8),
+}
 
 
-def fresh(patterns, **kwargs):
+def fresh(patterns):
     """A new build, bypassing the per-pattern-set memo."""
-    return build_npn_table(patterns, **kwargs)
+    return build_npn_table(patterns)
+
+
+@pytest.fixture(scope="module", params=sorted(LIBRARIES))
+def built(request):
+    """(pattern set, fresh table) for each library of :data:`LIBRARIES`."""
+    factory, variants = LIBRARIES[request.param]
+    patterns = PatternSet(factory(), max_variants=variants)
+    return patterns, fresh(patterns)
 
 
 class TestChains:
@@ -30,7 +50,7 @@ class TestChains:
         table = fresh(lib441_patterns)
         assert len(table.chains) == len(lib441_patterns.patterns)
         for i, pattern in enumerate(lib441_patterns.patterns):
-            assert table.chain_of(i) == pattern_chain(
+            assert table.chains[i] == pattern_chain(
                 pattern, k=table.k, depth_cap=table.depth_cap
             )
 
@@ -53,39 +73,6 @@ class TestChains:
                 assert canonical.bits == bits
 
 
-class TestCellClasses:
-    def test_every_small_cell_is_findable(self, lib441_patterns):
-        table = fresh(lib441_patterns)
-        library = lib441_patterns.library
-        for gate in library:
-            if not 1 <= gate.n_inputs <= table.cell_limit:
-                continue
-            names = [name for name, _ in table.lookup(gate.tt)]
-            assert gate.name in names
-
-    def test_lookup_transforms_carry_cut_onto_cell(self, lib441_patterns):
-        table = fresh(lib441_patterns)
-        library = lib441_patterns.library
-        checked = 0
-        for gate in library:
-            if not 1 <= gate.n_inputs <= table.cell_limit:
-                continue
-            for name, transform in table.lookup(gate.tt):
-                cell = library.gate(name)
-                assert apply_transform(transform, gate.tt) == cell.tt
-                checked += 1
-        assert checked > 0
-
-    def test_lookup_miss_is_empty(self, mini_patterns):
-        table = fresh(mini_patterns)
-        # 4-input XOR-ish parity is not in the mini NAND/INV/AOI library
-        assert table.lookup(TruthTable(4, 0x6996)) == []
-
-    def test_cell_limit_filters(self, lib441_patterns):
-        table = fresh(lib441_patterns, cell_limit=1)
-        assert all(n == 1 for n, _bits in table.cell_classes)
-
-
 class TestChainOrbits:
     """The map the matcher's cut filter uses instead of canonicalising."""
 
@@ -102,6 +89,49 @@ class TestChainOrbits:
                 canonical, _ = npn_canonical(TruthTable(n, bits))
                 if (n, canonical.bits) in classes:
                     assert (n, bits) in table.chain_orbits
+
+
+class TestSameTable:
+    """Chains, orbit map and shapes agree with independent references."""
+
+    def test_chain_entries_match_exhaustive_search(self, built, monkeypatch):
+        patterns, table = built
+        reference = {}
+
+        def classify(_orbits, n, bits):
+            if (n, bits) not in reference:
+                reference[(n, bits)] = npn_canonical(TruthTable(n, bits))[0].bits
+            return reference[(n, bits)]
+
+        monkeypatch.setattr(npn_table, "_classify", classify)
+        for i, pattern in enumerate(patterns.patterns):
+            assert table.chains[i] == pattern_chain(pattern)
+
+    def test_orbit_map_is_union_of_chain_class_orbits(self, built):
+        _patterns, table = built
+        expected = {}
+        for n, canonical in {(n, b) for chain in table.chains for _t, n, b in chain}:
+            tt = TruthTable(n, canonical)
+            for perm in permutations(range(n)):
+                for neg in range(1 << n):
+                    for out_neg in (False, True):
+                        image = apply_transform(NPNTransform(perm, neg, out_neg), tt)
+                        expected[(n, image.bits)] = (n, canonical)
+        assert table.chain_orbits == expected
+
+    def test_recorded_digest(self, built):
+        # Recorded chains, shapes and orbit map (sha256 of their repr,
+        # first 16 hex digits): a change here changes which patterns the
+        # cut filter admits at which nodes.
+        patterns, table = built
+        blob = repr((table.chains, table.shapes, sorted(table.chain_orbits.items())))
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        assert digest == {
+            "lib2": "702c7d1c1be41e6e",
+            "44-1": "65cf0b60eb7d6fe1",
+            "44-3": "cadf76c23384d2c4",
+            "mini": "92ca237db981ae5b",
+        }[patterns.library.name]
 
 
 class TestShapes:
@@ -128,7 +158,7 @@ class TestShapes:
                 check(b)
 
         for i, pattern in enumerate(lib441_patterns.patterns):
-            shape = table.shape_of(i)
+            shape = table.shapes[i]
             check(shape)
             assert self._depth(shape) <= table.depth_cap
             assert shape == pattern_shape(pattern, table.depth_cap)
@@ -150,30 +180,3 @@ class TestTableFor:
         a = table_for(mini_patterns)
         b = table_for(mini_patterns)
         assert a is b
-
-    def test_repeat_build_served_by_npn_memo(self):
-        """A second 44-3 build canonicalises nothing anew."""
-        patterns = PatternSet(lib44_3(), max_variants=4)
-        fresh(patterns)
-        before = NPN_STATS.snapshot()
-        fresh(patterns)
-        delta = NPN_STATS.delta(before)
-        assert delta.misses == 0
-        assert delta.hits > 0
-
-    def test_distinct_parameters_distinct_tables(self, mini_patterns):
-        a = table_for(mini_patterns)
-        b = table_for(mini_patterns, k=3)
-        assert a is not b
-        assert b.k == 3
-
-
-class TestValidation:
-    @pytest.mark.parametrize("k", [0, 7])
-    def test_k_out_of_range(self, mini_patterns, k):
-        with pytest.raises(LibraryError, match="k must be in 1..6"):
-            build_npn_table(mini_patterns, k=k)
-
-    def test_depth_cap_positive(self, mini_patterns):
-        with pytest.raises(LibraryError, match="depth_cap"):
-            build_npn_table(mini_patterns, depth_cap=0)
