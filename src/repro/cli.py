@@ -28,32 +28,16 @@ from repro.core.dag_mapper import map_dag
 from repro.errors import ReproError, RunnerConfigError
 from repro.core.match import MatchKind
 from repro.core.netlist import mapped_to_network
-from repro.library.gate import GateLibrary
 from repro.core.tree_mapper import map_tree
 from repro.fpga.flowmap import flowmap
 from repro.harness import experiment as exp
 from repro.harness.tables import format_comparison_table, format_rows
-from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
+from repro.library.builtin import BUILTIN_LIBRARIES
 from repro.library.genlib import dumps_genlib
 from repro.network.blif import read_blif, write_blif
 from repro.network.decompose import decompose_network
 from repro.network.simulate import check_equivalent
-
-_BUILTIN_LIBS = {
-    "lib2": lib2_like,
-    "44-1": lib44_1,
-    "44-3": lib44_3,
-    "mini": mini_library,
-}
-
-
-def _load_library(spec: str) -> "GateLibrary":
-    # One resolver for the whole CLI: a mistyped spec raises the coded
-    # [R001] error naming the valid builtins instead of a bare
-    # FileNotFoundError from read_genlib.
-    from repro.perf.parallel import resolve_library
-
-    return resolve_library(spec)
+from repro.perf.parallel import resolve_library
 
 
 def _parse_arrivals(spec: Optional[str]) -> Optional[dict]:
@@ -71,7 +55,7 @@ def _parse_arrivals(spec: Optional[str]) -> Optional[dict]:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     net = read_blif(args.blif)
-    library = _load_library(args.library)
+    library = resolve_library(args.library)
     subject = decompose_network(net, style=args.decompose)
     kind = MatchKind(args.match)
     arrivals = _parse_arrivals(args.arrivals)
@@ -144,7 +128,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
     base_net = read_blif(args.base)
     edited_net = read_blif(args.edited)
-    library = _load_library(args.library)
+    library = resolve_library(args.library)
     kind = MatchKind(args.match)
     arrivals = _parse_arrivals(args.arrivals)
     base = map_dag(decompose_network(base_net, style=args.decompose),
@@ -277,7 +261,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_libgen(args: argparse.Namespace) -> int:
-    library = _BUILTIN_LIBS[args.name]()
+    library = BUILTIN_LIBRARIES[args.name]()
     text = dumps_genlib(library)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -316,7 +300,7 @@ def _cmd_seqmap(args: argparse.Namespace) -> int:
     if net.is_combinational():
         print("note: the circuit has no latches; periods equal the "
               "combinational delay")
-    library = _load_library(args.library)
+    library = resolve_library(args.library)
     result = map_sequential(net, library, mode=args.mode,
                             max_variants=args.variants)
     print(f"circuit        : {net.name} ({len(net.latches)} latches)")
@@ -338,7 +322,7 @@ def _cmd_libstats(args: argparse.Namespace) -> int:
     from repro.library.patterns import PatternSet
     from repro.network.npn import npn_classes
 
-    library = _load_library(args.library)
+    library = resolve_library(args.library)
     patterns = PatternSet(library, max_variants=args.variants)
     print(f"library     : {library.name}")
     print(f"gates       : {len(library)} (max {library.max_inputs()} inputs)")
@@ -489,7 +473,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 subject = decompose_network(net, style=args.decompose)
                 report.extend(lint_subject(subject))
                 if args.certify:
-                    library = _load_library(args.library)
+                    library = resolve_library(args.library)
                     patterns = PatternSet(library, max_variants=args.variants)
                     kind = MatchKind(args.match)
                     if args.mode == "dag":
@@ -889,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_lib = sub.add_parser("libgen", help="emit a builtin library as genlib")
-    p_lib.add_argument("name", choices=list(_BUILTIN_LIBS))
+    p_lib.add_argument("name", choices=list(BUILTIN_LIBRARIES))
     p_lib.add_argument("--output", "-o")
     p_lib.set_defaults(func=_cmd_libgen)
 

@@ -228,8 +228,10 @@ class LazyCuts:
 def _prune_dominated(acc: Dict[Cut, int], max_cuts: int) -> Dict[Cut, int]:
     """Drop cuts that are supersets of another cut, then cap.
 
-    Mirrors :func:`repro.fpga.cuts._merge`: scan in ascending size order
-    so every potential dominator is kept before its supersets appear.
+    Scans in ascending size order so every potential dominator is kept
+    before its supersets appear, the order the independent FlowMap
+    enumerator (:mod:`repro.fpga.cuts`) prunes in too; the tests
+    cross-check the two.
     """
     kept: Dict[Cut, int] = {}
     for cut in sorted(acc, key=len):

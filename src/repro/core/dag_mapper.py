@@ -11,7 +11,7 @@ is the subject size and ``p`` the total pattern size (Section 3.4).
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Set, Union
 
 from repro.core.cover import build_cover
 from repro.core.labeling import ReuseHook, compute_labels
@@ -22,12 +22,6 @@ from repro.library.patterns import PatternSet
 from repro.network.subject import SubjectGraph
 
 __all__ = ["map_dag"]
-
-
-def _as_patterns(library: Union[GateLibrary, PatternSet], max_variants: int) -> PatternSet:
-    if isinstance(library, PatternSet):
-        return library
-    return PatternSet(library, max_variants=max_variants)
 
 
 def map_dag(
@@ -73,7 +67,32 @@ def map_dag(
         delay equals it, which the tests pin) and the netlist's STA
         delay under the area objective.
     """
-    patterns = _as_patterns(library, max_variants)
+    return _map(
+        subject, library, "dag", kind, arrival_times, objective, max_variants,
+        matcher, check, reuse=reuse,
+    )
+
+
+def _map(
+    subject: SubjectGraph,
+    library: Union[GateLibrary, PatternSet],
+    mode: str,
+    kind: MatchKind,
+    arrival_times: Optional[Dict[str, float]],
+    objective: str,
+    max_variants: int,
+    matcher: Optional[Matcher],
+    check: bool,
+    boundary_uids: Optional[Set[int]] = None,
+    reuse: Optional[ReuseHook] = None,
+) -> MappingResult:
+    """Label, cover, time and optionally certify: both mappers' driver.
+
+    ``compute_labels`` and ``build_cover`` are looked up in this module
+    at call time, so patching them here reaches ``map_dag`` and
+    :func:`repro.core.tree_mapper.map_tree` alike.
+    """
+    patterns = PatternSet.of(library, max_variants)
     start = time.perf_counter()
     labels = compute_labels(
         subject,
@@ -81,10 +100,11 @@ def map_dag(
         kind=kind,
         arrival_times=arrival_times,
         objective=objective,
+        boundary_uids=boundary_uids,
         matcher=matcher,
         reuse=reuse,
     )
-    netlist = build_cover(labels, name=f"{subject.name}_dag")
+    netlist = build_cover(labels, name=f"{subject.name}_{mode}")
     elapsed = time.perf_counter() - start
 
     if objective == "delay":
@@ -99,7 +119,7 @@ def map_dag(
         delay=delay,
         area=netlist.area(),
         cpu_seconds=elapsed,
-        mode="dag",
+        mode=mode,
         match_kind=kind.value,
         library=patterns.library.name,
         n_matches=labels.n_matches,

@@ -51,7 +51,6 @@ class Labels:
     Attributes:
         arrival: per-node optimal arrival time (indexed by node uid).
         best: per-node best match (None for PIs).
-        matches_per_node: all matches found, kept only when requested.
         po_arrival: PO name -> arrival of its driver.
         n_matches: total number of matches enumerated (work measure).
         objective: 'delay' or 'area'.
@@ -64,7 +63,6 @@ class Labels:
     n_matches: int
     objective: str
     area_flow: List[float]
-    matches_per_node: Optional[List[List[Match]]] = None
     match_stats: Optional[Dict[str, float]] = None
 
     @property
@@ -83,9 +81,6 @@ class Labels:
             )
         return max(self.po_arrival.values())
 
-    def match_at(self, node: SubjectNode) -> Optional[Match]:
-        return self.best[node.uid]
-
 
 def compute_labels(
     subject: SubjectGraph,
@@ -93,7 +88,6 @@ def compute_labels(
     kind: MatchKind = MatchKind.STANDARD,
     arrival_times: Optional[Dict[str, float]] = None,
     objective: str = "delay",
-    keep_matches: bool = False,
     boundary_uids: Optional[Set[int]] = None,
     matcher: Optional[Matcher] = None,
     reuse: Optional[ReuseHook] = None,
@@ -108,8 +102,6 @@ def compute_labels(
         objective: ``'delay'`` (the paper) or ``'area'`` (Keutzer-style
             minimum-area covering; exact for trees, a load-estimate
             heuristic for DAGs).
-        keep_matches: retain the full match list per node (memory-heavy;
-            used by area recovery and the tests).
         boundary_uids: for the area objective, subject uids whose area is
             accounted elsewhere (tree leaves); their label contributes 0
             to covering matches.
@@ -125,18 +117,14 @@ def compute_labels(
             ``(arrival, area_flow, match)`` triple the node's label is
             taken verbatim and the matcher is never invoked there.  The
             caller (:func:`repro.eco.eco_remap`) guarantees the spliced
-            label equals what matching would have produced.  Incompatible
-            with ``keep_matches`` (reused nodes have no match list).
+            label equals what matching would have produced.
 
     Raises:
         MappingError: if some node has no match (library lacks INV/NAND2).
-        ValueError: on an unknown objective, or ``reuse`` with
-            ``keep_matches``.
+        ValueError: on an unknown objective.
     """
     if objective not in ("delay", "area"):
         raise ValueError(f"unknown objective {objective!r}")
-    if reuse is not None and keep_matches:
-        raise ValueError("reuse hook is incompatible with keep_matches")
     arrival_times = arrival_times or {}
 
     # A PO whose driver is not a member of the graph would silently label
@@ -158,7 +146,6 @@ def compute_labels(
     arrival: List[float] = [0.0] * n
     area_flow: List[float] = [0.0] * n
     best: List[Optional[Match]] = [None] * n
-    all_matches: Optional[List[List[Match]]] = [[] for _ in range(n)] if keep_matches else None
     n_matches = 0
 
     # Fanout-use counts for the area-flow estimate, clamped to >= 1;
@@ -180,8 +167,6 @@ def compute_labels(
             matcher.stats.eco_nodes_remapped += 1
         matches = matcher.matches_at(node)
         n_matches += len(matches)
-        if all_matches is not None:
-            all_matches[node.uid] = matches
         if not matches:
             raise MappingError(
                 f"no match at subject node {node!r}; the library must "
@@ -233,6 +218,5 @@ def compute_labels(
         n_matches=n_matches,
         objective=objective,
         area_flow=area_flow,
-        matches_per_node=all_matches,
         match_stats=matcher.stats.as_dict(),
     )

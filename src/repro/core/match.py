@@ -27,17 +27,16 @@ paper's footnote 2.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, cast
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.cuts import LazyCuts, cut_function
 from repro.errors import MappingError
 from repro.library.gate import Gate
-from repro.library.npn_table import Chain, NPNTable, Shape, table_for
+from repro.library.npn_table import ShapeKey, intern_shape_key
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
 from repro.perf.signature import cone_signature
-from repro.perf.trie import PatternTrie
 
 __all__ = [
     "MatchKind",
@@ -91,9 +90,6 @@ class Match:
         return [
             (leaf.pin, self.binding[leaf.uid]) for leaf in self.pattern.leaves
         ]
-
-    def leaf_nodes(self) -> List[SubjectNode]:
-        return [self.binding[leaf.uid] for leaf in self.pattern.leaves]
 
     def internal_nodes(self) -> List[SubjectNode]:
         """Subject nodes covered by internal pattern nodes (root included)."""
@@ -172,6 +168,9 @@ class Matcher:
     overrides that rule (differential checks and benchmarks compare the
     two); forcing it on for EXTENDED matches, which are not injective,
     raises :class:`~repro.errors.MappingError`.
+
+    Pattern-side facts (fanouts, use cap, trie, NPN table) belong to the
+    :class:`PatternSet`; a matcher holds per-subject state and its memos.
     """
 
     def __init__(
@@ -195,38 +194,15 @@ class Matcher:
         self._force_filter = cut_filter
         #: whether the cut filter runs on the attached subject.
         self.filter_on = False
-        # Pattern-side filter state, built at the first attach that
-        # turns the filter on (see _build_filter).
-        self._table: Optional[NPNTable] = None
-        # Pattern-side fanout counts, needed for the exact-match condition.
-        self._pattern_fanout: Dict[int, Dict[int, int]] = {}
-        for pattern in patterns.patterns:
-            counts: Dict[int, int] = {}
-            for node in pattern.nodes:
-                for fanin in node.fanins:
-                    counts[fanin.uid] = counts.get(fanin.uid, 0) + 1
-            self._pattern_fanout[id(pattern)] = counts
-        if cache:
-            self._trie: Optional[PatternTrie] = PatternTrie(patterns)
-            self._shape_of: Optional[Dict[int, int]] = self._trie.shape_of
-            # Exact-kind signatures record min(uses, cap): any use count
-            # above every pattern-side fanout fails out-degree equality
-            # the same way, so larger counts need not be distinguished.
-            self._use_cap = 1 + max(
-                (
-                    max(counts.values(), default=0)
-                    for counts in self._pattern_fanout.values()
-                ),
-                default=0,
-            )
-            # signature key -> list of (pattern, ((pattern uid, cone index), ...))
-            # templates; subject-independent, so it survives attach().
-            self._sig_cache: Optional[Dict[Tuple[int, ...], List[_SigTemplate]]] = {}
-        else:
-            self._trie = None
-            self._shape_of = None
-            self._use_cap = 0
-            self._sig_cache = None
+        # This matcher's copy of the table's frozen pattern-shape id
+        # space, extended with its subjects' cone shapes; filled, with
+        # the filter memos, at the first attach that turns the filter on.
+        self._shape_keys: List[ShapeKey] = []
+        # signature key -> list of (pattern, ((pattern uid, cone index), ...))
+        # templates; subject-independent, so it survives attach().
+        self._sig_cache: Optional[Dict[Tuple[int, ...], List[_SigTemplate]]] = (
+            {} if cache else None
+        )
 
     # ------------------------------------------------------------------
     def attach(self, subject: SubjectGraph) -> None:
@@ -236,12 +212,7 @@ class Matcher:
         the class docstring); its cuts and cone shapes are computed
         lazily, at the signature misses that consult them.
         """
-        self._uses: List[int] = [0] * len(subject.nodes)
-        for node in subject.nodes:
-            for fanin in node.fanins:
-                self._uses[fanin.uid] += 1
-        for _, driver in subject.pos:
-            self._uses[driver.uid] += 1
+        self._uses = subject.use_counts()
         # Clamped-to-1 view for area-flow denominators: hoisted here so
         # the labeling pass reads one list instead of calling
         # subject_uses() per node (PIs included).
@@ -262,7 +233,9 @@ class Matcher:
         self._feasible_cache: Dict[Tuple[int, int], bool] = {}
         self.filter_on = self._wants_filter(subject)
         if self.filter_on:
-            table = self._table or self._build_filter()
+            table = self.patterns.npn_table
+            if not self._shape_keys:
+                self._start_filter()
             self._cuts = LazyCuts(table.k, table.depth_cap)
             self._allowed_cache: Dict[int, Optional[List[bool]]] = {}
             # (uid, depth) -> interned cone-unfolding shape id
@@ -273,52 +246,24 @@ class Matcher:
         if self._force_filter is not None:
             return self._force_filter
         return (
-            self._trie is not None
+            self.cache
             and self.kind is not MatchKind.EXTENDED
-            and len(self._trie.groups) >= CUT_FILTER_MIN_GROUPS
+            and len(self.patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
             and subject.n_gates >= CUT_FILTER_MIN_GATES
         )
 
     # ------------------------------------------------------------------
     # Cut filter
     # ------------------------------------------------------------------
-    def _build_filter(self) -> NPNTable:
-        """Pattern-side filter state: NPN table, chain ids, shape ids."""
-        patterns = self.patterns
-        table = self._table = table_for(patterns)
-        self._chain_orbits = table.chain_orbits
-        # Dense chain ids (distinct chains are few — tens for the
-        # 876-pattern 44-3 set) and, per root kind, the chain id of
-        # every pattern in ``for_root`` order, so the per-node filter
-        # is one list index per pattern.
-        chain_id: Dict[Chain, int] = {}
-        cid_of: Dict[int, int] = {}
-        self._chain_entries: List[Chain] = []
-        for pattern, chain in zip(patterns.patterns, table.chains):
-            cid = chain_id.get(chain)
-            if cid is None:
-                cid = len(self._chain_entries)
-                chain_id[chain] = cid
-                self._chain_entries.append(chain)
-            cid_of[id(pattern)] = cid
-        self._chain_ids_by_kind: Dict[NodeType, List[int]] = {
-            root_kind: [cid_of[id(p)] for p in root_patterns]
-            for root_kind, root_patterns in patterns.by_root_kind.items()
-        }
-        # Shape interning: pattern shapes and subject cone unfoldings
-        # share one id space, so the structural embed test memoizes on a
-        # pair of small ints.  Key ``None`` marks the atoms — the "?"
-        # wildcard (id 0) and the subject PI marker (id 1); a 1-tuple is
-        # an INV, a 2-tuple a NAND with id-sorted children (equal
-        # sub-shapes get equal ids, so id order is a canonical order).
-        self._shape_intern: Dict[object, int] = {"?": 0, "P": 1}
-        self._shape_keys: List[Optional[Tuple[int, ...]]] = [None, None]
-        sid_of: Dict[int, int] = {}
-        for pattern, shape in zip(patterns.patterns, table.shapes):
-            sid_of[id(pattern)] = self._intern_pattern_shape(shape)
-        self._shape_ids_by_kind: Dict[NodeType, List[int]] = {
-            root_kind: [sid_of[id(p)] for p in root_patterns]
-            for root_kind, root_patterns in patterns.by_root_kind.items()
+    def _start_filter(self) -> None:
+        """The filter's cross-subject memos and the private shape space."""
+        table = self.patterns.npn_table
+        # Pattern shapes and subject cone unfoldings share one id space,
+        # so the structural embed test memoizes on a pair of small ints;
+        # the cone shapes go into this copy, never into the table.
+        self._shape_keys = list(table.shape_keys)
+        self._shape_intern = {
+            key: sid for sid, key in enumerate(self._shape_keys) if key is not None
         }
         self._embed_memo: Dict[Tuple[int, int], bool] = {}
         # Chain verdicts are a function of the node's cut classes
@@ -329,33 +274,10 @@ class Matcher:
         self._allowed_by_classes: Dict[
             FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
         ] = {}
-        self._no_info: List[bool] = [True] * len(self._chain_entries)
+        self._no_info: List[bool] = [True] * len(table.chain_entries)
         self._filtered_memo: Dict[
             Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
         ] = {}
-        return table
-
-    def _intern_shape_key(self, key: object) -> int:
-        sid = self._shape_intern.get(key)
-        if sid is None:
-            sid = len(self._shape_keys)
-            self._shape_intern[key] = sid
-            self._shape_keys.append(cast(Tuple[int, ...], key))
-        return sid
-
-    def _intern_pattern_shape(self, shape: Shape) -> int:
-        """Intern one nested-tuple pattern shape into the id space."""
-        tag = shape[0]
-        if tag == "?":
-            return 0
-        if tag == "I":
-            child = self._intern_pattern_shape(cast(Shape, shape[1]))
-            return self._intern_shape_key((child,))
-        a = self._intern_pattern_shape(cast(Shape, shape[1]))
-        b = self._intern_pattern_shape(cast(Shape, shape[2]))
-        if a > b:
-            a, b = b, a
-        return self._intern_shape_key((a, b))
 
     def _cone_shape(self, node: SubjectNode, depth: int) -> int:
         """Interned depth-``depth`` unfolding shape of the cone at ``node``.
@@ -372,17 +294,9 @@ class Matcher:
         memo_key = (node.uid, depth)
         sid = self._cone_shapes.get(memo_key)
         if sid is None:
-            fanins = node.fanins
-            if node.kind is NodeType.INV:
-                sid = self._intern_shape_key(
-                    (self._cone_shape(fanins[0], depth - 1),)
-                )
-            else:
-                a = self._cone_shape(fanins[0], depth - 1)
-                b = self._cone_shape(fanins[1], depth - 1)
-                if a > b:
-                    a, b = b, a
-                sid = self._intern_shape_key((a, b))
+            children = (self._cone_shape(f, depth - 1) for f in node.fanins)
+            key = tuple(sorted(children))
+            sid = intern_shape_key(self._shape_intern, self._shape_keys, key)
             self._cone_shapes[memo_key] = sid
         return sid
 
@@ -442,7 +356,8 @@ class Matcher:
         # Chain class -> minimum derivation depth over the node's cuts.
         # A cut function outside the chain-orbit map is in no chain's
         # NPN class, so it cannot satisfy any chain entry.
-        orbits = self._chain_orbits
+        table = self.patterns.npn_table
+        orbits = table.chain_orbits
         classes: Dict[Tuple[int, int], int] = {}
         for cut, depth in cuts.items():
             if len(cut) == 1 and next(iter(cut)) is snode:
@@ -461,7 +376,7 @@ class Matcher:
         allowed = self._allowed_by_classes.get(class_key)
         if allowed is None:
             allowed = []
-            for chain in self._chain_entries:
+            for chain in table.chain_entries:
                 ok = True
                 for t, n, bits in chain:
                     found = classes.get((n, bits))
@@ -495,8 +410,9 @@ class Matcher:
         memo_key = (id(allowed), sid, snode.kind)
         hit = self._filtered_memo.get(memo_key)
         if hit is None:
-            chain_ids = self._chain_ids_by_kind[snode.kind]
-            shape_ids = self._shape_ids_by_kind[snode.kind]
+            table = self.patterns.npn_table
+            chain_ids = table.chain_ids_by_kind[snode.kind]
+            shape_ids = table.shape_ids_by_kind[snode.kind]
             kept = [
                 pattern
                 for pattern, cid, psid in zip(
@@ -513,8 +429,7 @@ class Matcher:
         """Binding-independent embeddability of a pattern subtree."""
         if pnode.kind is NodeType.PI:
             return True
-        shape_of = self._shape_of
-        pid = shape_of[id(pnode)] if shape_of is not None else id(pnode)
+        pid = self.patterns.trie.shape_of[id(pnode)] if self.cache else id(pnode)
         key = (pid, snode.uid)
         cached = self._feasible_cache.get(key)
         if cached is not None:
@@ -553,7 +468,7 @@ class Matcher:
             snode,
             self.patterns.max_depth,
             uses=self._uses if self.kind is MatchKind.EXACT else None,
-            use_cap=self._use_cap,
+            use_cap=self.patterns.use_cap,
         )
         templates = self._sig_cache.get(sig)
         if templates is not None:
@@ -611,8 +526,7 @@ class Matcher:
         seen: Set[Tuple[object, ...]] = set()
         depth = self._depth[snode.uid]
         stats = self.stats
-        assert self._trie is not None  # cache=True invariant
-        group_of = self._trie.group_of
+        group_of = self.patterns.trie.group_of
         group_bindings: Dict[int, List[Dict[int, SubjectNode]]] = {}
         for pattern in self._filtered_patterns(snode):
             if pattern.depth > depth:
@@ -652,7 +566,7 @@ class Matcher:
         """
         injective = self.kind is not MatchKind.EXTENDED
         exact = self.kind is MatchKind.EXACT
-        pattern_fanout = self._pattern_fanout[id(pattern)]
+        pattern_fanout = pattern.fanout
         swap_safe = pattern.swap_safe
         binding: Dict[int, SubjectNode] = {}
         images: Dict[int, int] = {}  # subject uid -> pattern uid

@@ -77,11 +77,7 @@ def map_multi_decomposition(
     """
     if not styles:
         raise MappingError("need at least one decomposition style")
-    patterns = (
-        library
-        if isinstance(library, PatternSet)
-        else PatternSet(library, max_variants=max_variants)
-    )
+    patterns = PatternSet.of(library, max_variants)
     start = time.perf_counter()
     per_style: Dict[str, MappingResult] = {}
     po_arrivals: Dict[str, Dict[str, float]] = {}

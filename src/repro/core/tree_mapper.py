@@ -15,11 +15,9 @@ Both objectives from the literature are provided: minimum delay
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Set, Union
 
-from repro.core.cover import build_cover
-from repro.core.labeling import compute_labels
+from repro.core import dag_mapper
 from repro.core.match import Matcher, MatchKind
 from repro.core.result import MappingResult
 from repro.library.gate import GateLibrary
@@ -56,46 +54,10 @@ def map_tree(
     and ``check=True`` certifies the result the same way (the report
     lands on ``result.certificate``; errors raise ``CertificateError``).
     """
-    if isinstance(library, PatternSet):
-        patterns = library
-    else:
-        patterns = PatternSet(library, max_variants=max_variants)
-    start = time.perf_counter()
-    boundary = tree_roots(subject) if objective == "area" else None
-    if boundary is not None:
-        boundary = set(boundary) | {pi.uid for pi in subject.pis}
-    labels = compute_labels(
-        subject,
-        patterns,
-        kind=MatchKind.EXACT,
-        arrival_times=arrival_times,
-        objective=objective,
-        boundary_uids=boundary,
-        matcher=matcher,
+    boundary: Optional[Set[int]] = None
+    if objective == "area":
+        boundary = tree_roots(subject) | {pi.uid for pi in subject.pis}
+    return dag_mapper._map(
+        subject, library, "tree", MatchKind.EXACT, arrival_times, objective,
+        max_variants, matcher, check, boundary_uids=boundary,
     )
-    netlist = build_cover(labels, name=f"{subject.name}_tree")
-    elapsed = time.perf_counter() - start
-
-    if objective == "delay":
-        delay = labels.max_arrival
-    else:
-        from repro.timing.sta import analyze  # local import to avoid a cycle
-
-        delay = analyze(netlist, arrival_times=arrival_times).delay
-    result = MappingResult(
-        netlist=netlist,
-        labels=labels,
-        delay=delay,
-        area=netlist.area(),
-        cpu_seconds=elapsed,
-        mode="tree",
-        match_kind=MatchKind.EXACT.value,
-        library=patterns.library.name,
-        n_matches=labels.n_matches,
-        counters=labels.match_stats,
-    )
-    if check:
-        from repro.check.certificate import attach_certificate
-
-        attach_certificate(result)
-    return result

@@ -14,13 +14,7 @@ differential oracle (F011) in :mod:`repro.fuzz.oracles`; patch
 certification (E-series codes) in :mod:`repro.check.eco`.
 """
 
-from repro.eco.keys import (
-    EcoKeyTable,
-    SubjectKeys,
-    compute_subject_keys,
-    pattern_use_cap,
-    subject_use_counts,
-)
+from repro.eco.keys import EcoKeyTable, SubjectKeys, compute_subject_keys
 from repro.eco.remap import EcoResult, eco_remap
 
 __all__ = [
@@ -29,6 +23,4 @@ __all__ = [
     "SubjectKeys",
     "compute_subject_keys",
     "eco_remap",
-    "pattern_use_cap",
-    "subject_use_counts",
 ]

@@ -37,13 +37,7 @@ from repro.library.patterns import PatternSet
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.perf.signature import cone_signature
 
-__all__ = [
-    "EcoKeyTable",
-    "SubjectKeys",
-    "compute_subject_keys",
-    "pattern_use_cap",
-    "subject_use_counts",
-]
+__all__ = ["EcoKeyTable", "SubjectKeys", "compute_subject_keys"]
 
 
 class EcoKeyTable:
@@ -68,41 +62,6 @@ class EcoKeyTable:
         return key
 
 
-def subject_use_counts(subject: SubjectGraph) -> List[int]:
-    """Per-uid fanout-use counts (fanin edges plus PO references).
-
-    Mirrors ``Matcher.attach`` exactly — these counts feed the exact-match
-    out-degree tokens of :func:`repro.perf.signature.cone_signature`, so
-    they must be computed the same way the matcher computes them.
-    """
-    uses = [0] * len(subject.nodes)
-    for node in subject.nodes:
-        for fanin in node.fanins:
-            uses[fanin.uid] += 1
-    for _, driver in subject.pos:
-        uses[driver.uid] += 1
-    return uses
-
-
-def pattern_use_cap(patterns: PatternSet) -> int:
-    """``1 + max pattern-side fanout`` — the matcher's signature use cap.
-
-    Counts above every pattern-side fanout all fail the exact-match
-    out-degree condition identically, so the signature clamps them to one
-    representative value; this replicates ``Matcher._use_cap``.
-    """
-    cap = 0
-    for pattern in patterns.patterns:
-        counts: Dict[int, int] = {}
-        for node in pattern.nodes:
-            for fanin in node.fanins:
-                counts[fanin.uid] = counts.get(fanin.uid, 0) + 1
-        fanout = max(counts.values(), default=0)
-        if fanout > cap:
-            cap = fanout
-    return 1 + cap
-
-
 class SubjectKeys:
     """Eco keys and canonical cones for every node of one subject graph.
 
@@ -123,8 +82,7 @@ def compute_subject_keys(
     subject: SubjectGraph,
     kind: MatchKind,
     arrival_times: Dict[str, float],
-    depth_limit: int,
-    use_cap: int,
+    patterns: PatternSet,
     table: EcoKeyTable,
 ) -> SubjectKeys:
     """Compute the eco key of every node of ``subject`` in topological order.
@@ -135,12 +93,12 @@ def compute_subject_keys(
             matching folds fanout-use counts into the signatures.
         arrival_times: PI arrival times by name (missing names are 0.0,
             matching the labeling pass).
-        depth_limit: the pattern set's ``max_depth``.
-        use_cap: :func:`pattern_use_cap` of the pattern set.
+        patterns: the pattern set of the mapping run; its ``max_depth``
+            bounds the cones and its ``use_cap`` clamps the use counts.
         table: shared interning table (pass the same instance for the
             base and the edited subject).
     """
-    uses = subject_use_counts(subject) if kind is MatchKind.EXACT else None
+    uses = subject.use_counts() if kind is MatchKind.EXACT else None
     n = len(subject.nodes)
     keys: List[int] = [0] * n
     cones: List[Optional[List[SubjectNode]]] = [None] * n
@@ -149,7 +107,9 @@ def compute_subject_keys(
             arrival = float(arrival_times.get(node.name, 0.0))
             keys[node.uid] = table.intern(("pi", arrival))
             continue
-        sig, cone = cone_signature(node, depth_limit, uses=uses, use_cap=use_cap)
+        sig, cone = cone_signature(
+            node, patterns.max_depth, uses=uses, use_cap=patterns.use_cap
+        )
         child_keys = tuple(keys[member.uid] for member in cone[1:])
         keys[node.uid] = table.intern((sig, child_keys))
         cones[node.uid] = cone

@@ -50,11 +50,7 @@ from repro.network.bnet import BooleanNetwork
 from repro.network.decompose import decompose_network
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.check.diagnostics import CheckReport
-from repro.eco.keys import (
-    EcoKeyTable,
-    compute_subject_keys,
-    pattern_use_cap,
-)
+from repro.eco.keys import EcoKeyTable, compute_subject_keys
 
 __all__ = ["EcoResult", "eco_remap"]
 
@@ -160,10 +156,7 @@ def eco_remap(
     _require_delay_dag_base(base)
     kind = MatchKind(base.match_kind)
 
-    if isinstance(library, PatternSet):
-        patterns = library
-    else:
-        patterns = PatternSet(library, max_variants=max_variants)
+    patterns = PatternSet.of(library, max_variants)
     if patterns.library.name != base.library:
         raise MappingError(
             f"[M006] eco_remap library {patterns.library.name!r} does not "
@@ -182,13 +175,11 @@ def eco_remap(
         base_arrival_times = arrival_times
 
     table = EcoKeyTable()
-    use_cap = pattern_use_cap(patterns)
-    depth_limit = patterns.max_depth
     old_keys = compute_subject_keys(
-        old_subject, kind, base_arrival_times or {}, depth_limit, use_cap, table
+        old_subject, kind, base_arrival_times or {}, patterns, table
     )
     new_keys = compute_subject_keys(
-        new_subject, kind, arrival_times or {}, depth_limit, use_cap, table
+        new_subject, kind, arrival_times or {}, patterns, table
     )
 
     # First topological occurrence of each key in the base subject is the

@@ -217,11 +217,7 @@ def run_tree_vs_dag(
             "so worker processes can rebuild the pattern set"
         )
     if library_spec is None or (jobs == 1 and not forced):
-        patterns = (
-            library
-            if isinstance(library, PatternSet)
-            else PatternSet(library, max_variants=max_variants)
-        )
+        patterns = PatternSet.of(library, max_variants)
         return [
             tree_vs_dag_cell(
                 name, patterns, kind=kind, verify=verify, check=check

@@ -26,13 +26,14 @@ every construction.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.library.gate import GateLibrary
 from repro.library.genlib import parse_genlib
 from repro.network.expr import parse_expr
 
 __all__ = [
+    "BUILTIN_LIBRARIES",
     "mini_library",
     "unit_nand_library",
     "lib2_like",
@@ -286,3 +287,14 @@ def lib44_3(max_groups: int = 4, max_group_size: int = 4) -> GateLibrary:
         emit(f"oa{tag}", area_n, _oai_expr(sizes, invert=False), delay_n)
 
     return parse_genlib("\n".join(lines), name="44-3")
+
+
+#: The builtin library specs and their builders: the names that
+#: ``repro-map libgen`` and :func:`repro.perf.parallel.resolve_library`
+#: accept.
+BUILTIN_LIBRARIES: Dict[str, Callable[[], GateLibrary]] = {
+    "lib2": lib2_like,
+    "44-1": lib44_1,
+    "44-3": lib44_3,
+    "mini": mini_library,
+}

@@ -5,7 +5,7 @@ libraries its cut filter (:class:`repro.core.match.Matcher`) first asks
 a cheap functional question — *could this pattern's function possibly
 live here?* — and only runs the binding enumerator for patterns that
 survive.  This module builds everything that question needs, **once per
-pattern set** (:func:`table_for`):
+pattern set**:
 
 * a *truncation chain* per pattern: for each height ``t`` up to
   ``depth_cap``, truncate the pattern at its nodes of min-distance
@@ -36,18 +36,22 @@ pattern set** (:func:`table_for`):
   chain entry.  The chains of 44-3 at four variants use ten classes, so
   the map holds 548 entries.
 
+* the filter's *ids*: per root kind, the dense chain id and the
+  interned shape id of every pattern in ``for_root`` order.  The
+  pattern-shape id space is frozen; a matcher extends a copy of it.
+
 Building the table costs one orbit walk per chain class plus one lookup
-per pattern level — about 0.12 s for the 876-pattern 44-3 set — and it
-is built in memory only, at the first mapping run that turns the
-filter on, always with ``k`` = :data:`DEFAULT_K` and ``depth_cap`` =
-:data:`DEFAULT_DEPTH_CAP`.
+per pattern level — about 0.12 s for the 876-pattern 44-3 set.  It is
+built in memory only, once per pattern set (:attr:`PatternSet.npn_table`,
+at the first attach that turns the filter on), always with ``k`` =
+:data:`DEFAULT_K` and ``depth_cap`` = :data:`DEFAULT_DEPTH_CAP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.functions import negate_inputs_bits, permute_bits, variable_bits
@@ -58,7 +62,6 @@ __all__ = [
     "build_npn_table",
     "pattern_chain",
     "pattern_shape",
-    "table_for",
 ]
 
 #: Frontier-size bound for chain entries.  Cuts wider than this are
@@ -83,6 +86,10 @@ OrbitMap = Dict[Tuple[int, int], Tuple[int, int]]
 #: the depth cap), ``("I", child)`` inverter, ``("N", a, b)`` NAND with
 #: children in sorted order (canonical under NAND symmetry).
 Shape = Tuple[object, ...]
+
+#: Interned shape: ``None`` for the atoms (id 0 the wildcard, id 1 the
+#: subject-PI marker), else the sorted tuple of the children's ids.
+ShapeKey = Optional[Tuple[int, ...]]
 
 _WILDCARD: Shape = ("?",)
 
@@ -116,25 +123,27 @@ def pattern_chain(
                     dist[fanin.uid] = dist[node.uid] + 1
                     nxt.append(fanin)
         frontier = nxt
-    chain: List[ChainEntry] = []
-    for t in range(1, min(pattern.depth, depth_cap) + 1):
-        leaves: List[PatternNode] = []
-        seen: set = set()
-        stack: List[PatternNode] = [pattern.root]
-        while stack:
-            node = stack.pop()
-            if node.uid in seen:
-                continue
-            seen.add(node.uid)
-            if node.is_leaf or dist[node.uid] >= t:
-                leaves.append(node)
-            else:
-                stack.extend(node.fanins)
-        if len(leaves) > k:
+    # The height-t frontier is the inner nodes at min-distance t plus the
+    # leaves at min-distance <= t: a node's shortest path from the root
+    # runs through inner nodes nearer than it.  One pass in uid order
+    # (pattern nodes are stored by uid) fills every height's frontier.
+    top = min(pattern.depth, depth_cap)
+    frontiers: List[List[PatternNode]] = [[] for _ in range(top + 1)]
+    for node in pattern.nodes:
+        d = dist.get(node.uid, top + 1)
+        if d > top:
             continue
-        order = sorted(leaves, key=lambda n: n.uid)
+        if node.is_leaf:
+            for t in range(d, top + 1):
+                frontiers[t].append(node)
+        else:
+            frontiers[d].append(node)
+    chain: List[ChainEntry] = []
+    for t in range(1, top + 1):
+        order = frontiers[t]
         n = len(order)
-        chain.append((t, n, _classify(orbits, n, _cone_bits(pattern.root, order))))
+        if n <= k:
+            chain.append((t, n, _classify(orbits, n, _cone_bits(pattern.root, order))))
     return tuple(chain)
 
 
@@ -171,17 +180,17 @@ def pattern_shape(
     depth-``depth_cap`` unfolding — the matcher uses that as a
     structural pre-filter.
     """
+    return _truncated_shape(pattern.root, depth_cap)
 
-    def walk(node: PatternNode, budget: int) -> Shape:
-        if node.is_leaf or budget == 0:
-            return _WILDCARD
-        if node.kind is NodeType.INV:
-            return ("I", walk(node.fanins[0], budget - 1))
-        a = walk(node.fanins[0], budget - 1)
-        b = walk(node.fanins[1], budget - 1)
-        return ("N", a, b) if a <= b else ("N", b, a)  # type: ignore[operator]
 
-    return walk(pattern.root, depth_cap)
+def _truncated_shape(node: PatternNode, budget: int) -> Shape:
+    if node.is_leaf or budget == 0:
+        return _WILDCARD
+    if node.kind is NodeType.INV:
+        return ("I", _truncated_shape(node.fanins[0], budget - 1))
+    a = _truncated_shape(node.fanins[0], budget - 1)
+    b = _truncated_shape(node.fanins[1], budget - 1)
+    return ("N", a, b) if a <= b else ("N", b, a)  # type: ignore[operator]
 
 
 def _cone_bits(root: PatternNode, leaves: Sequence[PatternNode]) -> int:
@@ -210,7 +219,7 @@ def _cone_bits(root: PatternNode, leaves: Sequence[PatternNode]) -> int:
     return words[root.uid]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NPNTable:
     """Precomputed NPN data of one pattern set (see the module docstring).
 
@@ -221,6 +230,13 @@ class NPNTable:
             (see :func:`pattern_shape`).
         chain_orbits: ``(n, function bits) -> (n, canonical bits)`` for
             every function in the NPN class of some chain entry.
+        chain_entries: the distinct chains, indexed by chain id.
+        chain_ids_by_kind: root kind -> chain id of every pattern in
+            ``PatternSet.for_root`` order.
+        shape_keys: shape id -> :data:`ShapeKey` of every pattern shape
+            and sub-shape: the frozen pattern-shape id space.
+        shape_ids_by_kind: root kind -> shape id of every pattern in
+            ``for_root`` order.
         k: frontier/cut-size bound the chains were built with (a class
             constant, :data:`DEFAULT_K`).
         depth_cap: truncation-height bound (:data:`DEFAULT_DEPTH_CAP`).
@@ -229,28 +245,56 @@ class NPNTable:
     chains: Tuple[Chain, ...]
     shapes: Tuple[Shape, ...]
     chain_orbits: OrbitMap
+    chain_entries: Tuple[Chain, ...]
+    chain_ids_by_kind: Dict[NodeType, Tuple[int, ...]]
+    shape_keys: Tuple[ShapeKey, ...]
+    shape_ids_by_kind: Dict[NodeType, Tuple[int, ...]]
     k: ClassVar[int] = DEFAULT_K
     depth_cap: ClassVar[int] = DEFAULT_DEPTH_CAP
+
+
+def intern_shape_key(
+    intern: Dict[Tuple[int, ...], int], keys: List[ShapeKey], key: Tuple[int, ...]
+) -> int:
+    """The id of ``key`` in the space ``keys`` (indexed by ``intern``)."""
+    sid = intern.get(key)
+    if sid is None:
+        sid = intern[key] = len(keys)
+        keys.append(key)
+    return sid
+
+
+def _intern_shape(
+    intern: Dict[Tuple[int, ...], int], keys: List[ShapeKey], shape: Shape
+) -> int:
+    if shape[0] == "?":
+        return 0
+    children = (_intern_shape(intern, keys, cast(Shape, c)) for c in shape[1:])
+    return intern_shape_key(intern, keys, tuple(sorted(children)))
 
 
 def build_npn_table(patterns: PatternSet) -> NPNTable:
     """Build the NPN table of one pattern set (aligned with its order)."""
     orbits: OrbitMap = {}
+    chains = {id(p): pattern_chain(p, orbits=orbits) for p in patterns.patterns}
+    shapes = {id(p): pattern_shape(p) for p in patterns.patterns}
+    chain_id: Dict[Chain, int] = {}
+    for chain in chains.values():
+        chain_id.setdefault(chain, len(chain_id))
+    keys: List[ShapeKey] = [None, None]  # the two atoms
+    intern: Dict[Tuple[int, ...], int] = {}
+    shape_id = {pid: _intern_shape(intern, keys, s) for pid, s in shapes.items()}
+    by_kind = patterns.by_root_kind.items()
     return NPNTable(
-        chains=tuple(pattern_chain(p, orbits=orbits) for p in patterns.patterns),
-        shapes=tuple(pattern_shape(p) for p in patterns.patterns),
+        chains=tuple(chains.values()),
+        shapes=tuple(shapes.values()),
         chain_orbits=orbits,
+        chain_entries=tuple(chain_id),
+        chain_ids_by_kind={
+            kind: tuple(chain_id[chains[id(p)]] for p in ps) for kind, ps in by_kind
+        },
+        shape_keys=tuple(keys),
+        shape_ids_by_kind={
+            kind: tuple(shape_id[id(p)] for p in ps) for kind, ps in by_kind
+        },
     )
-
-
-def table_for(patterns: PatternSet) -> NPNTable:
-    """The NPN table of ``patterns``, memoized on the pattern set.
-
-    Repeated mapping runs over one in-process :class:`PatternSet` (the
-    suite harness, the benchmarks) share one table build.
-    """
-    table: Optional[NPNTable] = getattr(patterns, "_npn_table", None)
-    if table is None:
-        table = build_npn_table(patterns)
-        setattr(patterns, "_npn_table", table)
-    return table

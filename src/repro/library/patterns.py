@@ -17,12 +17,17 @@ same balanced decomposition style, the canonical shapes line up.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import LibraryError
 from repro.library.gate import Gate, GateLibrary, Pin
 from repro.network.expr import And, Const, Expr, Not, Or, Var, Xor
 from repro.network.subject import NodeType
+
+if TYPE_CHECKING:
+    from repro.library.npn_table import NPNTable
+    from repro.perf.trie import PatternTrie
 
 __all__ = ["PatternNode", "PatternGraph", "PatternSet", "generate_patterns"]
 
@@ -70,7 +75,7 @@ class PatternGraph:
 
     __slots__ = (
         "gate", "root", "nodes", "leaves", "n_internal", "depth",
-        "pin_classes", "key", "node_keys", "swap_safe",
+        "pin_classes", "key", "node_keys", "fanout", "swap_safe",
     )
 
     def __init__(
@@ -98,6 +103,13 @@ class PatternGraph:
         self.key, node_keys = _canonical_key(root, self.pin_classes)
         #: Per-node canonical subtree keys (uid -> key).
         self.node_keys: Dict[int, object] = node_keys
+        #: node uid -> number of fanin references to it inside the
+        #: pattern (absent for the root): the pattern side of the exact
+        #: match's out-degree condition.
+        self.fanout: Dict[int, int] = {}
+        for node in nodes:
+            for fanin in node.fanins:
+                self.fanout[fanin.uid] = self.fanout.get(fanin.uid, 0) + 1
         #: NAND2 nodes whose swapped fanin order is provably redundant:
         #: the children are isomorphic (equal canonical keys), *disjoint*
         #: and tree-shaped, so composing a match with the child
@@ -105,7 +117,7 @@ class PatternGraph:
         #: unswapped-order match with the same pin-class costs.  Shared
         #: leaves (e.g. XOR patterns) break that argument and are
         #: excluded.
-        self.swap_safe: set = _swap_safe_nodes(nodes, node_keys)
+        self.swap_safe: set = _swap_safe_nodes(nodes, node_keys, self.fanout)
 
     def __repr__(self) -> str:
         return (
@@ -150,7 +162,9 @@ def _subtree_scan(node: PatternNode) -> Tuple[Set[int], bool]:
 
 
 def _swap_safe_nodes(
-    nodes: Sequence[PatternNode], node_keys: Dict[int, object]
+    nodes: Sequence[PatternNode],
+    node_keys: Dict[int, object],
+    fanout: Dict[int, int],
 ) -> Set[int]:
     """NAND2 nodes where trying only one fanin order is lossless.
 
@@ -161,10 +175,6 @@ def _swap_safe_nodes(
     interacts with bindings established outside the pair and can reach
     matches the unswapped order cannot.
     """
-    fanout: Dict[int, int] = {}
-    for node in nodes:
-        for fanin in node.fanins:
-            fanout[fanin.uid] = fanout.get(fanin.uid, 0) + 1
     safe: Set[int] = set()
     for node in nodes:
         if node.kind is not NodeType.NAND2:
@@ -466,12 +476,21 @@ def generate_patterns(
 class PatternSet:
     """All pattern graphs of a library, indexed for the matcher.
 
+    The set owns every fact that depends on the patterns alone, and
+    every matcher over it shares them: :attr:`trie` and
+    :attr:`npn_table` are built on first use, at most once, and no fact
+    is written afterwards.
+
     Attributes:
         patterns: every pattern graph.
         by_root_kind: patterns grouped by root node type, the matcher's
             first-level filter.
         total_nodes: sum of pattern node counts — the paper's ``p`` in the
             O(s*p) complexity bound (Section 3.4).
+        max_depth: the deepest pattern, which bounds a match's cone.
+        use_cap: ``1 +`` the largest pattern fanout; exact-kind cone
+            signatures clamp subject use counts to it, since all larger
+            counts fail the out-degree condition alike.
         skipped: names of gates with no pattern (constants, buffers).
     """
 
@@ -497,6 +516,35 @@ class PatternSet:
             self.by_root_kind[pattern.root.kind].append(pattern)
         self.total_nodes = sum(len(p.nodes) for p in self.patterns)
         self.max_depth = max((p.depth for p in self.patterns), default=0)
+        self.use_cap = 1 + max(
+            (max(p.fanout.values(), default=0) for p in self.patterns),
+            default=0,
+        )
+
+    @classmethod
+    def of(
+        cls,
+        library: Union[GateLibrary, "PatternSet"],
+        max_variants: int = DEFAULT_MAX_VARIANTS,
+    ) -> "PatternSet":
+        """``library`` if it is a pattern set, else its pattern set."""
+        if isinstance(library, PatternSet):
+            return library
+        return cls(library, max_variants)
+
+    @cached_property
+    def trie(self) -> "PatternTrie":
+        """The binding groups and feasibility shapes of the cached matcher."""
+        from repro.perf.trie import PatternTrie
+
+        return PatternTrie(self)
+
+    @cached_property
+    def npn_table(self) -> "NPNTable":
+        """The cut filter's NPN table, chain ids and pattern-shape ids."""
+        from repro.library.npn_table import build_npn_table
+
+        return build_npn_table(self)
 
     def for_root(self, kind: NodeType) -> List[PatternGraph]:
         return self.by_root_kind.get(kind, [])

@@ -72,9 +72,6 @@ class SubjectNode:
     def is_pi(self) -> bool:
         return self.kind is NodeType.PI
 
-    def fanout_count(self) -> int:
-        return len(self.fanouts)
-
     def __repr__(self) -> str:
         fanins = ",".join(str(f.uid) for f in self.fanins)
         label = f" {self.name!r}" if self.name else ""
@@ -188,19 +185,24 @@ class SubjectGraph:
             stack.extend(node.fanins)
         return [self.nodes[uid] for uid in sorted(seen)]
 
+    def use_counts(self) -> List[int]:
+        """Per-uid fanout-use counts: fanin edges plus PO references.
+
+        The subject side of the exact match's out-degree condition, read
+        by the matcher, the ECO keys and :meth:`multi_fanout_nodes`.
+        """
+        uses = [0] * len(self.nodes)
+        for node in self.nodes:
+            for fanin in node.fanins:
+                uses[fanin.uid] += 1
+        for _, driver in self.pos:
+            uses[driver.uid] += 1
+        return uses
+
     def multi_fanout_nodes(self) -> List[SubjectNode]:
         """Internal nodes with fanout >= 2 (the tree-decomposition cut points)."""
-        po_refs: Dict[int, int] = {}
-        for _, driver in self.pos:
-            po_refs[driver.uid] = po_refs.get(driver.uid, 0) + 1
-        out = []
-        for node in self.nodes:
-            if node.is_pi:
-                continue
-            uses = len(node.fanouts) + po_refs.get(node.uid, 0)
-            if uses >= 2:
-                out.append(node)
-        return out
+        uses = self.use_counts()
+        return [n for n in self.nodes if not n.is_pi and uses[n.uid] >= 2]
 
     # ------------------------------------------------------------------
     # Simulation

@@ -78,6 +78,7 @@ from repro.errors import (
     UnknownLibrarySpecError,
     WorkerInitError,
 )
+from repro.library.builtin import BUILTIN_LIBRARIES
 from repro.perf.counters import RunStats
 from repro.perf.journal import CellKey, JournalWriter, load_journal
 
@@ -96,7 +97,7 @@ __all__ = [
 
 #: Builtin library specs accepted by :func:`resolve_library` (anything
 #: else must be a readable genlib file).
-BUILTIN_SPECS: Tuple[str, ...] = ("lib2", "44-1", "44-3", "mini")
+BUILTIN_SPECS: Tuple[str, ...] = tuple(BUILTIN_LIBRARIES)
 
 #: Default bounded-retry budget for transient (error/crash) failures.
 DEFAULT_RETRIES = 2
@@ -186,21 +187,8 @@ def resolve_library(spec: str) -> "GateLibrary":
         variant = parse_variant_spec(spec)
         return apply_variant(resolve_library(variant.base), variant)
 
-    from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
-
-    builders = {
-        "lib2": lib2_like,
-        "44-1": lib44_1,
-        "44-3": lib44_3,
-        "mini": mini_library,
-    }
-    if tuple(builders) != BUILTIN_SPECS:
-        raise RunnerConfigError(
-            "builtin library table out of sync with BUILTIN_SPECS: "
-            f"{tuple(builders)} != {BUILTIN_SPECS}"
-        )
-    if spec in builders:
-        return builders[spec]()
+    if spec in BUILTIN_LIBRARIES:
+        return BUILTIN_LIBRARIES[spec]()
     if not os.path.isfile(spec):
         raise UnknownLibrarySpecError(spec, BUILTIN_SPECS)
     from repro.library.genlib import read_genlib

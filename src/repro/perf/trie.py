@@ -74,13 +74,16 @@ def _ordered_serial(
     order: List[PatternNode] = []
     index: Dict[int, int] = {}
     swap_safe = pattern.swap_safe
-
-    def visit(node: PatternNode) -> None:
+    # Preorder, first fanin first: a node's back-reference test runs when
+    # it is popped, after its left sibling's whole subtree.
+    stack: List[PatternNode] = [pattern.root]
+    while stack:
+        node = stack.pop()
         key = id(node)
         local = index.get(key)
         if local is not None:
             tokens.append(("ref", local))
-            return
+            continue
         index[key] = len(order)
         order.append(node)
         kind = node.kind
@@ -88,13 +91,11 @@ def _ordered_serial(
             tokens.append(("L",))
         elif kind is NodeType.INV:
             tokens.append(("I",))
-            visit(node.fanins[0])
+            stack.append(node.fanins[0])
         else:
             tokens.append(("N", node.uid in swap_safe))
-            visit(node.fanins[0])
-            visit(node.fanins[1])
-
-    visit(pattern.root)
+            stack.append(node.fanins[1])
+            stack.append(node.fanins[0])
     return tuple(tokens), order
 
 

@@ -62,12 +62,6 @@ class SequentialLabels:
         return max(self.arrival.values(), default=0.0)
 
 
-def _as_patterns(library: Union[GateLibrary, PatternSet], max_variants: int) -> PatternSet:
-    if isinstance(library, PatternSet):
-        return library
-    return PatternSet(library, max_variants=max_variants)
-
-
 class _SequentialLabeler:
     """Shared state for repeated feasibility queries on one circuit."""
 
@@ -185,7 +179,7 @@ def feasible_period(
     max_variants: int = 8,
 ) -> Optional[SequentialLabels]:
     """The Section 4 decision procedure for one target cycle time."""
-    patterns = _as_patterns(library, max_variants)
+    patterns = PatternSet.of(library, max_variants)
     return _SequentialLabeler(net, patterns, kind).check(phi)
 
 
@@ -202,7 +196,7 @@ def min_sequential_period(
     mapping of the combinational core combined with retiming, and the
     labels certifying it.
     """
-    patterns = _as_patterns(library, max_variants)
+    patterns = PatternSet.of(library, max_variants)
     labeler = _SequentialLabeler(net, patterns, kind)
 
     low = max(labeler.min_pin_delay, tolerance)

@@ -17,7 +17,7 @@ from repro.check.eco import certify_patch
 from repro.core.dag_mapper import map_dag
 from repro.core.match import Match, Matcher, MatchKind
 from repro.core.tree_mapper import map_tree
-from repro.eco import EcoKeyTable, compute_subject_keys, eco_remap, pattern_use_cap
+from repro.eco import EcoKeyTable, compute_subject_keys, eco_remap
 from repro.errors import CertificateError, MappingError
 from repro.fuzz.generator import FuzzConfig, random_dag, random_edit_pair
 from repro.network.decompose import decompose_network
@@ -198,15 +198,6 @@ class TestValidation:
         with pytest.raises(MappingError, match=r"\[M006\]"):
             eco_remap(base, edited, lib441_patterns)
 
-    def test_reuse_hook_incompatible_with_keep_matches(self, mini_patterns, edit_pair):
-        from repro.core.labeling import compute_labels
-
-        base_net, _, _ = edit_pair
-        subject = decompose_network(base_net)
-        with pytest.raises(ValueError, match="keep_matches"):
-            compute_labels(subject, mini_patterns, keep_matches=True,
-                           reuse=lambda node: None)
-
 
 def mutated(result, **label_overrides):
     labels = dataclasses.replace(result.labels, **label_overrides)
@@ -306,12 +297,10 @@ class TestKeys:
         subject_a = decompose_network(net)
         subject_b = decompose_network(net)
         table = EcoKeyTable()
-        cap = pattern_use_cap(mini_patterns)
-        depth = mini_patterns.max_depth
         keys_a = compute_subject_keys(subject_a, MatchKind.STANDARD, {},
-                                      depth, cap, table)
+                                      mini_patterns, table)
         keys_b = compute_subject_keys(subject_b, MatchKind.STANDARD, {},
-                                      depth, cap, table)
+                                      mini_patterns, table)
         for a, b in zip(subject_a.topological(), subject_b.topological()):
             assert keys_a.keys[a.uid] == keys_b.keys[b.uid]
 
@@ -322,14 +311,12 @@ class TestKeys:
         script = EditScript((Edit("po", internal[0]),))
         edited = script.apply(net)
         table = EcoKeyTable()
-        cap = pattern_use_cap(mini_patterns)
-        depth = mini_patterns.max_depth
 
         def key_count(kind):
             a = compute_subject_keys(decompose_network(net), kind, {},
-                                     depth, cap, table)
+                                     mini_patterns, table)
             b = compute_subject_keys(decompose_network(edited), kind, {},
-                                     depth, cap, table)
+                                     mini_patterns, table)
             shared = set(a.keys) & set(b.keys)
             return len(shared)
 

@@ -29,7 +29,6 @@ from repro.library.builtin import lib2_like, lib44_3
 from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.mapped_io import dumps_mapped_blif
-from repro.perf.trie import PatternTrie
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +178,9 @@ class TestFilterRule:
     def test_thresholds_split_the_builtin_libraries(self, lib441_patterns,
                                                    lib443_patterns,
                                                    lib2_patterns):
-        assert len(PatternTrie(lib443_patterns).groups) >= CUT_FILTER_MIN_GROUPS
+        assert len(lib443_patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
         for patterns in (lib441_patterns, lib2_patterns):
-            assert len(PatternTrie(patterns).groups) < CUT_FILTER_MIN_GROUPS
+            assert len(patterns.trie.groups) < CUT_FILTER_MIN_GROUPS
 
     def test_off_below_the_gate_threshold(self, lib443_patterns):
         subject = fuzz_subject(8)
@@ -205,17 +204,96 @@ class TestFilterRule:
         assert small.n_gates < CUT_FILTER_MIN_GATES <= large.n_gates
         shared = Matcher(lib443_patterns)
         for subject in (small, large, small, large):
-            got = compute_labels(subject, lib443_patterns, matcher=shared,
-                                 keep_matches=True)
+            got = compute_labels(subject, lib443_patterns, matcher=shared)
             assert shared.filter_on is (subject is large)
-            fresh = compute_labels(subject, lib443_patterns,
-                                   matcher=Matcher(lib443_patterns),
-                                   keep_matches=True)
-            for mine, theirs in zip(got.matches_per_node,
-                                    fresh.matches_per_node):
-                assert [m.identity() for m in mine] == [
-                    m.identity() for m in theirs
+            own = Matcher(lib443_patterns)
+            fresh = compute_labels(subject, lib443_patterns, matcher=own)
+            for node in subject.topological():
+                assert [m.identity() for m in shared.matches_at(node)] == [
+                    m.identity() for m in own.matches_at(node)
                 ]
             assert got.arrival == fresh.arrival
         assert shared.stats.cut_filter_nodes > 0
         assert shared.stats.signature_hits > 0
+
+
+def trie_state(trie):
+    """A trie's groups, memberships and shape ids, comparable by value."""
+    index = {id(group): i for i, group in enumerate(trie.groups)}
+    return (
+        [(id(g.rep), [id(m) for m in g.members], g.translations)
+         for g in trie.groups],
+        {pid: index[id(group)] for pid, group in trie.group_of.items()},
+        trie.shape_of,
+        trie.n_shapes,
+    )
+
+
+class TestPatternSideBuiltOnce:
+    """The pattern set builds its trie and NPN table lazily, at most
+    once, and no matcher writes to them."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        from repro.library import npn_table
+        from repro.perf import trie
+
+        counts = {"trie": 0, "npn_table": 0}
+        real_trie, real_table = trie.PatternTrie, npn_table.build_npn_table
+
+        def count_trie(patterns):
+            counts["trie"] += 1
+            return real_trie(patterns)
+
+        def count_table(patterns):
+            counts["npn_table"] += 1
+            return real_table(patterns)
+
+        monkeypatch.setattr(trie, "PatternTrie", count_trie)
+        monkeypatch.setattr(npn_table, "build_npn_table", count_table)
+        return counts
+
+    def test_construction_builds_neither(self, builds):
+        patterns = PatternSet(lib2_like(), max_variants=8)
+        Matcher(patterns)
+        assert builds == {"trie": 0, "npn_table": 0}
+        # the reference path never needs the trie
+        reference = Matcher(patterns, cache=False)
+        compute_labels(fuzz_subject(8), patterns, matcher=reference)
+        assert builds == {"trie": 0, "npn_table": 0}
+
+    def test_two_matchers_share_one_build(self, builds, subjects):
+        patterns = PatternSet(lib2_like(), max_variants=8)
+        first = Matcher(patterns, cut_filter=True)
+        compute_labels(subjects["C3540s"], patterns, matcher=first)
+        trie, table = patterns.trie, patterns.npn_table
+        second = Matcher(patterns, cut_filter=True)
+        compute_labels(subjects["C2670s"], patterns, matcher=second)
+        assert patterns.trie is trie and patterns.npn_table is table
+        assert builds == {"trie": 1, "npn_table": 1}
+
+    def test_filter_leaves_pattern_side_unchanged(self, subjects,
+                                                  lib443_patterns):
+        from repro.library.npn_table import build_npn_table
+        from repro.perf.trie import PatternTrie
+
+        first = Matcher(lib443_patterns)
+        compute_labels(subjects["C6288s"], lib443_patterns, matcher=first)
+        assert first.filter_on
+        table = lib443_patterns.npn_table
+        fresh_table = build_npn_table(lib443_patterns)
+        assert trie_state(lib443_patterns.trie) == trie_state(
+            PatternTrie(lib443_patterns))
+        assert table == fresh_table
+        # the cone shapes went into the matcher's copy of the id space
+        assert len(table.shape_keys) == len(fresh_table.shape_keys)
+        assert len(first._shape_keys) > len(table.shape_keys)
+        # ... so a later matcher numbers its cone shapes as it would on
+        # a pattern set no matcher has used
+        subject = fuzz_subject(40)
+        second = Matcher(lib443_patterns, cut_filter=True)
+        compute_labels(subject, lib443_patterns, matcher=second)
+        untouched = PatternSet(lib44_3(), max_variants=4)
+        own = Matcher(untouched, cut_filter=True)
+        compute_labels(subject, untouched, matcher=own)
+        assert second._cone_shapes and second._cone_shapes == own._cone_shapes

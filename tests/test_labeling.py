@@ -152,16 +152,6 @@ class TestAreaObjective:
         for _, driver in subject.pos:
             assert labels.arrival[driver.uid] > 0
 
-    def test_keep_matches(self, mini_patterns):
-        subject = decompose_network(circuits.c17())
-        labels = compute_labels(
-            subject, mini_patterns, MatchKind.STANDARD, keep_matches=True
-        )
-        assert labels.matches_per_node is not None
-        for node in subject.topological():
-            if not node.is_pi:
-                assert labels.matches_per_node[node.uid]
-
 
 class TestCodedDiagnostics:
     """[M001]/[M002]: dangling PO drivers and missing POs raise coded

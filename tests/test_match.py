@@ -306,19 +306,23 @@ class TestConeCrosscheck:
 
 
 class TestNoReferenceCycles:
-    def test_matching_leaves_no_closure_cycles(self, lib2_patterns):
+    def test_matching_leaves_no_closure_cycles(self):
         # The recursive helpers of cone signatures and binding enumeration
-        # run per subject node; they must not leave self-referencing
-        # closures for the cyclic GC.
+        # run per subject node, and the pattern set's trie and NPN table
+        # are built inside the first matcher's first calls; none of them
+        # may leave self-referencing closures for the cyclic GC.
         subject = decompose_network(circuits.array_multiplier(4))
-        matcher = Matcher(lib2_patterns, MatchKind.STANDARD)
+        patterns = PatternSet(lib2_like(), max_variants=8)
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            matcher.attach(subject)
-            for node in subject.topological():
-                matcher.matches_at(node)
-            del matcher
+            for cut_filter in (None, True):
+                matcher = Matcher(patterns, MatchKind.STANDARD,
+                                  cut_filter=cut_filter)
+                matcher.attach(subject)
+                for node in subject.topological():
+                    matcher.matches_at(node)
+                del matcher
             gc.collect()
             leaked = sorted(
                 obj.__qualname__ for obj in gc.garbage

@@ -23,7 +23,7 @@ from repro.network.decompose import decompose_network
 def no_pruning(monkeypatch):
     """Disable the swap-safe analysis: every NAND2 tries both orders."""
     monkeypatch.setattr(
-        patterns_mod, "_swap_safe_nodes", lambda nodes, keys: set()
+        patterns_mod, "_swap_safe_nodes", lambda nodes, keys, fanout: set()
     )
 
 
@@ -46,7 +46,7 @@ def test_pruned_labels_identical_to_reference(circuit, lib_name, monkeypatch):
 
     pruned = PatternSet(library, max_variants=8)
     monkeypatch.setattr(
-        patterns_mod, "_swap_safe_nodes", lambda nodes, keys: set()
+        patterns_mod, "_swap_safe_nodes", lambda nodes, keys, fanout: set()
     )
     reference = PatternSet(library, max_variants=8)
     monkeypatch.undo()

@@ -3,7 +3,7 @@
 Covers the library side of the matcher's cut filter: chain
 construction, the chain-orbit map the chains are classified through
 (differentially against the exhaustive :func:`npn_canonical`), shapes,
-and the per-pattern-set memo.
+the filter's ids, and the one table each pattern set builds.
 """
 
 import hashlib
@@ -13,12 +13,7 @@ import pytest
 
 from repro.library import npn_table
 from repro.library.builtin import lib2_like, lib44_1, lib44_3, mini_library
-from repro.library.npn_table import (
-    build_npn_table,
-    pattern_chain,
-    pattern_shape,
-    table_for,
-)
+from repro.library.npn_table import build_npn_table, pattern_chain, pattern_shape
 from repro.library.patterns import PatternSet
 from repro.network.functions import TruthTable
 from repro.network.npn import NPNTransform, apply_transform, npn_canonical
@@ -33,7 +28,7 @@ LIBRARIES = {
 
 
 def fresh(patterns):
-    """A new build, bypassing the per-pattern-set memo."""
+    """A new build, bypassing the pattern set's own table."""
     return build_npn_table(patterns)
 
 
@@ -175,8 +170,32 @@ class TestShapes:
         )
 
 
-class TestTableFor:
-    def test_memoized_per_pattern_set(self, mini_patterns):
-        a = table_for(mini_patterns)
-        b = table_for(mini_patterns)
-        assert a is b
+class TestPatternSetTable:
+    def test_built_once_per_pattern_set(self, mini_patterns):
+        table = mini_patterns.npn_table
+        assert mini_patterns.npn_table is table
+        assert table == fresh(mini_patterns)
+
+    def test_ids_decode_to_chains_and_shapes(self, lib441_patterns):
+        table = fresh(lib441_patterns)
+
+        def decode(sid):
+            key = table.shape_keys[sid]
+            if key is None:
+                assert sid == 0  # sid 1 is the subject-PI marker
+                return ("?",)
+            if len(key) == 1:
+                return ("I", decode(key[0]))
+            a, b = decode(key[0]), decode(key[1])
+            return ("N", a, b) if a <= b else ("N", b, a)
+
+        assert len(set(table.chain_entries)) == len(table.chain_entries)
+        position = {id(p): i for i, p in enumerate(lib441_patterns.patterns)}
+        for kind, members in lib441_patterns.by_root_kind.items():
+            cids = table.chain_ids_by_kind[kind]
+            sids = table.shape_ids_by_kind[kind]
+            assert len(cids) == len(sids) == len(members)
+            for pattern, cid, sid in zip(members, cids, sids):
+                i = position[id(pattern)]
+                assert table.chain_entries[cid] == table.chains[i]
+                assert decode(sid) == table.shapes[i]

@@ -120,3 +120,15 @@ class TestPatternSet:
     def test_max_depth(self):
         ps = PatternSet(lib44_1())
         assert ps.max_depth >= 3  # nand4 balanced = 3 levels
+
+    def test_fanout_and_use_cap(self):
+        ps = PatternSet(mini_library())
+        for pattern in ps.patterns:
+            refs = [f.uid for node in pattern.nodes for f in node.fanins]
+            assert pattern.fanout == {uid: refs.count(uid) for uid in set(refs)}
+            assert pattern.root.uid not in pattern.fanout
+        # XOR2 patterns read each pin twice, so use counts above 2 are
+        # indistinguishable to the exact match's out-degree condition
+        xor = [p for p in ps.patterns if p.gate.name.startswith("xor")]
+        assert xor and max(xor[0].fanout.values()) == 2
+        assert ps.use_cap == 3

@@ -119,6 +119,17 @@ class TestMultiFanoutCounting:
         g.set_po("o2", n)
         assert g.multi_fanout_nodes() == [n]
 
+    def test_use_counts_are_fanin_edges_plus_po_refs(self):
+        g = SubjectGraph()
+        a = g.add_pi("a")
+        b = g.add_pi("b")
+        n = g.add_nand2(a, a)  # one node reading a twice: two uses
+        m = g.add_nand2(n, b)
+        g.set_po("o1", m)
+        g.set_po("o2", m)
+        g.set_po("o3", a)
+        assert g.use_counts() == [3, 1, 1, 2]
+
 
 class TestSimulation:
     def test_nand_inv_semantics(self):
