@@ -136,12 +136,12 @@ def recover_area_result(
         best_match: Optional[Match] = None
         best_cost: Tuple[float, float] = (math.inf, math.inf)
         for match in matcher.matches_at(node):
-            gate = match.gate
             worst = 0.0
-            estimate = gate.area
+            estimate = match.gate.area
             feasible = True
-            for pin, leaf in match.leaves():
-                t = arrival[leaf.uid] + gate.pin_delay(pin)
+            for leaf_id, delay in match.pattern.leaf_delays:
+                leaf = match.binding[leaf_id]
+                t = arrival[leaf.uid] + delay
                 if t > budget + _EPS:
                     feasible = False
                     break
@@ -168,11 +168,11 @@ def recover_area_result(
                     f"required time {budget:g}"
                 )
         selection[uid] = best_match
-        gate = best_match.gate
-        for pin, leaf in best_match.leaves():
+        for leaf_id, delay in best_match.pattern.leaf_delays:
+            leaf = best_match.binding[leaf_id]
             if leaf.is_pi:
                 continue
-            slack = budget - gate.pin_delay(pin)
+            slack = budget - delay
             if slack < required.get(leaf.uid, math.inf) - _EPS:
                 required[leaf.uid] = slack
             if leaf.uid not in in_heap and leaf.uid not in selection:

@@ -178,27 +178,31 @@ def compute_labels(
         best_af = math.inf
         for match in matches:
             gate = match.gate
+            binding = match.binding
+            leaf_delays = match.pattern.leaf_delays
             cost = 0.0
             af = gate.area
-            for pin, leaf in match.leaves():
-                t = arrival[leaf.uid] + gate.pin_delay(pin)
+            for leaf_id, delay in leaf_delays:
+                uid = binding[leaf_id].uid
+                t = arrival[uid] + delay
                 if t > cost:
                     cost = t
-                af += area_flow[leaf.uid] / uses[leaf.uid]
+                af += area_flow[uid] / uses[uid]
             if af < best_af:
                 best_af = af
             if objective == "delay":
                 primary = cost
-                tie = (gate.area, float(len(match.pattern.leaves)))
+                tie = (gate.area, float(len(leaf_delays)))
             else:
                 primary = gate.area
-                for _, leaf in match.leaves():
+                for leaf_id, _ in leaf_delays:
+                    leaf = binding[leaf_id]
                     if boundary_uids is not None and leaf.uid in boundary_uids:
                         continue
                     if leaf.is_pi:
                         continue
                     primary += arrival[leaf.uid]
-                tie = (cost, float(len(match.pattern.leaves)))
+                tie = (cost, float(len(leaf_delays)))
             if primary < best_cost - _EPS or (
                 abs(primary - best_cost) <= _EPS and tie < best_tie
             ):

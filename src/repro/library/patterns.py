@@ -76,6 +76,7 @@ class PatternGraph:
     __slots__ = (
         "gate", "root", "nodes", "leaves", "n_internal", "depth",
         "pin_classes", "key", "node_keys", "fanout", "swap_safe",
+        "leaf_delays",
     )
 
     def __init__(
@@ -83,7 +84,8 @@ class PatternGraph:
         gate: Gate,
         root: PatternNode,
         nodes: List[PatternNode],
-        pin_classes: Optional[Dict[str, int]] = None,
+        pin_classes: Dict[str, int],
+        node_keys: Dict[int, int],
     ):
         self.gate = gate
         self.root = root
@@ -91,18 +93,20 @@ class PatternGraph:
         self.nodes = nodes
         self.leaves: List[PatternNode] = [n for n in nodes if n.is_leaf]
         self.n_internal = len(nodes) - len(self.leaves)
-        self.depth = _depth_of(root)
+        self.depth = _depth_of(root, nodes)
         #: pin name -> interchangeability class (symmetric pins with
         #: identical timing share a class).  Used for canonicalisation
         #: here and for match deduplication in the matcher.
-        self.pin_classes: Dict[str, int] = dict(pin_classes or {})
+        self.pin_classes: Dict[str, int] = dict(pin_classes)
+        #: Per-node canonical subtree keys (uid -> key, see
+        #: :func:`_canonical_keys`), interned per gate: keys of one
+        #: gate's patterns compare, keys of different gates do not.
+        self.node_keys = node_keys
         #: Canonical key up to pin interchangeability: two decompositions
         #: that differ only in the placement of mutually symmetric,
         #: timing-identical pins produce the same key (the matcher's pin
         #: binding recovers either assignment).
-        self.key, node_keys = _canonical_key(root, self.pin_classes)
-        #: Per-node canonical subtree keys (uid -> key).
-        self.node_keys: Dict[int, object] = node_keys
+        self.key = node_keys[root.uid]
         #: node uid -> number of fanin references to it inside the
         #: pattern (absent for the root): the pattern side of the exact
         #: match's out-degree condition.
@@ -118,6 +122,13 @@ class PatternGraph:
         #: leaves (e.g. XOR patterns) break that argument and are
         #: excluded.
         self.swap_safe: set = _swap_safe_nodes(nodes, node_keys, self.fanout)
+        #: (leaf uid, pin-to-output delay) in :attr:`leaves` order, read
+        #: by the labeling passes.  The independent checks (certificate,
+        #: STA) look pins up on the gate instead, so a wrong pairing here
+        #: shows as a label/STA mismatch.
+        self.leaf_delays: Tuple[Tuple[int, float], ...] = tuple(
+            (leaf.uid, gate.pin_delay(leaf.pin)) for leaf in self.leaves
+        )
 
     def __repr__(self) -> str:
         return (
@@ -126,24 +137,30 @@ class PatternGraph:
         )
 
 
-def _depth_of(root: PatternNode) -> int:
-    memo: Dict[int, int] = {}
-
-    def rec(node: PatternNode) -> int:
-        if node.uid in memo:
-            return memo[node.uid]
-        value = 0 if node.is_leaf else 1 + max(rec(f) for f in node.fanins)
-        memo[node.uid] = value
-        return value
-
-    return rec(root)
+def _depth_of(root: PatternNode, nodes: Sequence[PatternNode]) -> int:
+    """Depth of ``root`` over ``nodes`` in topological order."""
+    depth: Dict[int, int] = {}
+    for node in nodes:
+        depth[node.uid] = (
+            1 + max(depth[f.uid] for f in node.fanins) if node.fanins else 0
+        )
+    return depth[root.uid]
 
 
 #: A normalised expression / binary pattern tree: nested tuples whose
 #: first element names the node kind ('var'/'not'/'and'/'or'/'and2'/
 #: 'or2').  The shape is recursive, so the alias stays deliberately
-#: loose; _tree_key keys share it.
+#: loose.
 _Tree = Tuple[object, ...]
+
+#: An intern table, one per :func:`generate_patterns` call: key entry
+#: (an operator and its operands' ids) -> id.
+_Ids = Dict[Tuple[object, ...], int]
+
+#: A binary tree and its canonical key: an id, interned per gate, that
+#: two trees share exactly when they are equal up to the operand order
+#: of their commutative and2/or2 nodes.
+_Keyed = Tuple[_Tree, int]
 
 
 def _subtree_scan(node: PatternNode) -> Tuple[Set[int], bool]:
@@ -163,7 +180,7 @@ def _subtree_scan(node: PatternNode) -> Tuple[Set[int], bool]:
 
 def _swap_safe_nodes(
     nodes: Sequence[PatternNode],
-    node_keys: Dict[int, object],
+    node_keys: Dict[int, int],
     fanout: Dict[int, int],
 ) -> Set[int]:
     """NAND2 nodes where trying only one fanin order is lossless.
@@ -191,26 +208,27 @@ def _swap_safe_nodes(
     return safe
 
 
-def _canonical_key(
-    root: PatternNode, pin_classes: Dict[str, int]
-) -> Tuple[object, Dict[int, object]]:
-    """(root key, per-node key map) for a pattern DAG."""
-    memo: Dict[int, object] = {}
+def _canonical_keys(
+    nodes: Sequence[PatternNode], pin_classes: Dict[str, int], ids: _Ids
+) -> Dict[int, int]:
+    """Per-node canonical keys (uid -> key) of a pattern DAG.
 
-    def rec(node: PatternNode) -> object:
-        if node.uid in memo:
-            return memo[node.uid]
+    ``nodes`` is in topological order.  A key is the ``ids`` entry of
+    ``("L", pin class)``, ``("I", child key)`` or ``("N", smaller child
+    key, larger child key)``, so two subtrees get equal keys exactly when
+    they are isomorphic up to fanin order and interchangeable pins.
+    """
+    keys: Dict[int, int] = {}
+    for node in nodes:
         if node.is_leaf:
-            key = ("L", pin_classes.get(node.pin, node.pin))
+            entry: Tuple[object, ...] = ("L", pin_classes.get(node.pin, node.pin))
         elif node.kind is NodeType.INV:
-            key = ("I", rec(node.fanins[0]))
+            entry = ("I", keys[node.fanins[0].uid])
         else:
-            children = sorted((rec(node.fanins[0]), rec(node.fanins[1])), key=repr)
-            key = ("N", tuple(children))
-        memo[node.uid] = key
-        return key
-
-    return rec(root), memo
+            a, b = keys[node.fanins[0].uid], keys[node.fanins[1].uid]
+            entry = ("N", a, b) if a <= b else ("N", b, a)
+        keys[node.uid] = ids.setdefault(entry, len(ids))
+    return keys
 
 
 # ----------------------------------------------------------------------
@@ -297,90 +315,80 @@ def _normalize(expr: Expr) -> _Tree:
 # ----------------------------------------------------------------------
 
 
-def _tree_key(tree: _Tree) -> _Tree:
-    """Canonical key of a binary {var,not,and2,or2} tree (commutative ops)."""
-    kind = tree[0]
-    if kind == "var":
-        return ("v", tree[1])
-    if kind == "not":
-        return ("!", _tree_key(tree[1]))
-    left, right = _tree_key(tree[1]), _tree_key(tree[2])
-    a, b = sorted((left, right), key=repr)
-    return (kind, a, b)
+def _join(op2: str, a: _Keyed, b: _Keyed, ids: _Ids) -> _Keyed:
+    """The keyed tree ``op2(a, b)``."""
+    (tree_a, key_a), (tree_b, key_b) = a, b
+    entry = (op2, key_a, key_b) if key_a <= key_b else (op2, key_b, key_a)
+    return (op2, tree_a, tree_b), ids.setdefault(entry, len(ids))
 
 
-def _bracketings(op: str, items: List, cap: int) -> List:
+def _bracketings(op: str, items: List[_Keyed], cap: int, ids: _Ids) -> List[_Keyed]:
     """All structurally distinct ways to binarise ``op(items)``."""
     if len(items) == 1:
         return [items[0]]
     if len(items) > _FULL_ENUM_LIMIT:
-        return [_balanced(op, items), _linear(op, items)]
-    results: List = []
-    seen = set()
-    _merge_rec(op, items, results, seen, cap)
-    return results
+        return [_balanced(op + "2", items, ids), _linear(op + "2", items, ids)]
+    results: Dict[int, _Keyed] = {}
+    _merge_rec(op + "2", items, results, cap, ids)
+    return list(results.values())
 
 
-def _merge_rec(op: str, items: List, out: List, seen: set, cap: int) -> None:
+def _merge_rec(
+    op2: str, items: List[_Keyed], out: Dict[int, _Keyed], cap: int, ids: _Ids
+) -> None:
     if len(out) >= cap:
         return
     if len(items) == 1:
-        key = _tree_key(items[0])
-        if key not in seen:
-            seen.add(key)
-            out.append(items[0])
+        out.setdefault(items[0][1], items[0])
         return
     n = len(items)
-    tried = set()
+    tried: Set[int] = set()
     for i in range(n):
         for j in range(i + 1, n):
-            pair_key = tuple(
-                sorted((repr(_tree_key(items[i])), repr(_tree_key(items[j]))))
-            )
-            if pair_key in tried:
+            merged = _join(op2, items[i], items[j], ids)
+            if merged[1] in tried:
                 continue
-            tried.add(pair_key)
-            merged = (op + "2", items[i], items[j])
+            tried.add(merged[1])
             rest = [items[k] for k in range(n) if k not in (i, j)] + [merged]
-            _merge_rec(op, rest, out, seen, cap)
+            _merge_rec(op2, rest, out, cap, ids)
             if len(out) >= cap:
                 return
 
 
-def _balanced(op: str, items: List) -> _Tree:
+def _balanced(op2: str, items: List[_Keyed], ids: _Ids) -> _Keyed:
     if len(items) == 1:
         return items[0]
     mid = len(items) // 2
-    return (op + "2", _balanced(op, items[:mid]), _balanced(op, items[mid:]))
+    left, right = _balanced(op2, items[:mid], ids), _balanced(op2, items[mid:], ids)
+    return _join(op2, left, right, ids)
 
 
-def _linear(op: str, items: List) -> _Tree:
-    tree = items[0]
+def _linear(op2: str, items: List[_Keyed], ids: _Ids) -> _Keyed:
+    keyed = items[0]
     for item in items[1:]:
-        tree = (op + "2", tree, item)
-    return tree
+        keyed = _join(op2, keyed, item, ids)
+    return keyed
 
 
-def _binary_variants(norm: _Tree, cap: int) -> List:
+def _binary_variants(norm: _Tree, cap: int, ids: _Ids) -> List[_Keyed]:
     """All binary-tree realisations of a normalised expression (capped)."""
     kind = norm[0]
     if kind == "var":
-        return [norm]
+        return [(norm, ids.setdefault(("v", norm[1]), len(ids)))]
     if kind == "not":
-        return [("not", v) for v in _binary_variants(norm[1], cap)]
+        return [
+            (("not", tree), ids.setdefault(("!", key), len(ids)))
+            for tree, key in _binary_variants(norm[1], cap, ids)
+        ]
     op, operands = kind, norm[1]
-    operand_variant_lists = [_binary_variants(o, cap) for o in operands]
-    results: List = []
-    seen = set()
+    operand_variant_lists = [_binary_variants(o, cap, ids) for o in operands]
+    results: Dict[int, _Keyed] = {}
     for combo in itertools.product(*operand_variant_lists):
-        for tree in _bracketings(op, list(combo), cap):
-            key = _tree_key(tree)
-            if key not in seen:
-                seen.add(key)
-                results.append(tree)
-                if len(results) >= cap:
-                    return results
-    return results
+        for keyed in _bracketings(op, list(combo), cap, ids):
+            results.setdefault(keyed[1], keyed)
+            if len(results) >= cap:
+                return list(results.values())
+    return list(results.values())
 
 
 # ----------------------------------------------------------------------
@@ -456,21 +464,22 @@ def generate_patterns(
     except _SkipGate:
         return []
     pin_classes = _pin_classes(gate)
-    patterns: List[PatternGraph] = []
-    seen = set()
-    for tree in _binary_variants(norm, max_variants * 4):
+    ids: _Ids = {}
+    patterns: Dict[int, PatternGraph] = {}
+    for tree, _ in _binary_variants(norm, max_variants * 4, ids):
         builder = _Builder(gate)
         root = builder.emit(tree, inverted=False)
         if root.is_leaf:
             # Buffer: f == pin. No internal node to match against.
             continue
-        graph = PatternGraph(gate, root, builder.nodes, pin_classes)
-        if graph.key not in seen:
-            seen.add(graph.key)
-            patterns.append(graph)
+        node_keys = _canonical_keys(builder.nodes, pin_classes, ids)
+        if node_keys[root.uid] not in patterns:
+            patterns[node_keys[root.uid]] = PatternGraph(
+                gate, root, builder.nodes, pin_classes, node_keys
+            )
         if len(patterns) >= max_variants:
             break
-    return patterns
+    return list(patterns.values())
 
 
 class PatternSet:

@@ -118,10 +118,10 @@ class _SequentialLabeler:
                 continue
             best = math.inf
             for match in self.matches[node.uid]:
-                gate = match.gate
+                binding = match.binding
                 worst = -math.inf
-                for pin, leaf in match.leaves():
-                    t = arrival[leaf.uid] + gate.pin_delay(pin)
+                for leaf_id, delay in match.pattern.leaf_delays:
+                    t = arrival[binding[leaf_id].uid] + delay
                     if t > worst:
                         worst = t
                 if worst < best:

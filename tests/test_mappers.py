@@ -11,6 +11,7 @@ from repro.library.builtin import lib2_like, lib44_1, mini_library
 from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.simulate import check_equivalent
+from repro.perf.parallel import resolve_library
 from repro.timing.sta import analyze
 
 _EPS = 1e-9
@@ -36,14 +37,21 @@ def mini_patterns():
     return PatternSet(mini_library(), max_variants=8)
 
 
+#: No builtin gate has pins of different delay; these variants jitter
+#: every pin's delay, so a leaf delay paired with the wrong pin shows.
+ASYMMETRIC_PINS = ["lib2@delay=0.3+seed=1", "44-1@delay=0.3+seed=1"]
+
+
 @pytest.fixture(scope="module")
 def table_inputs(lib2_patterns):
-    """Table-2/3 subject graphs and the lib2@8 / 44-1@8 pattern sets."""
+    """Table-2/3 subject graphs and their lib2@8 / 44-1@8 pattern sets."""
     subjects = {name: build_subject(name)[1] for name in TABLE23_NAMES}
     pattern_sets = {
         "lib2": lib2_patterns,
         "44-1": PatternSet(lib44_1(), max_variants=8),
     }
+    for spec in ASYMMETRIC_PINS:
+        pattern_sets[spec] = PatternSet(resolve_library(spec), max_variants=8)
     return subjects, pattern_sets
 
 
@@ -68,7 +76,7 @@ class TestEndToEnd:
             assert report.delay == pytest.approx(result.delay)
 
     @pytest.mark.parametrize("mapper", [map_dag, map_tree], ids=["dag", "tree"])
-    @pytest.mark.parametrize("library", ["lib2", "44-1"])
+    @pytest.mark.parametrize("library", ["lib2", "44-1"] + ASYMMETRIC_PINS)
     @pytest.mark.parametrize("name", TABLE23_NAMES)
     def test_sta_delay_equals_label_delay(self, name, library, mapper,
                                           table_inputs):

@@ -333,3 +333,21 @@ class TestNoReferenceCycles:
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == []
+
+    def test_pattern_set_build_leaves_no_cyclic_garbage(self):
+        # Pattern generation runs once per library on the set-up path of
+        # every table run, campaign bundle and fixture; its key and depth
+        # passes are loops, so a build frees all it allocates by
+        # reference counting alone.
+        library = lib2_like()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            patterns = PatternSet(library, max_variants=8)
+            del patterns
+            gc.collect()
+            garbage = [type(obj).__qualname__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
