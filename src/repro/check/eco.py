@@ -18,9 +18,9 @@ pass is cheap enough to gate every incremental call.
           label would surface here);
 ``E004``  a primary output's driver is missing from the patched cover or
           carries no selected match;
-``E005``  the eco run's metadata (match kind, library, objective)
-          diverges from the base mapping's — the reuse premise itself
-          is violated.
+``E005``  the eco run's metadata (match kind, library, objective,
+          pattern set) diverges from the base mapping's — the reuse
+          premise itself is violated.
 
 Individual match-rule violations additionally surface under their
 ``C101``–``C106`` primitive codes, exactly as the full certificate does.
@@ -68,7 +68,9 @@ def certify_patch(
     subject = labels.subject
     kind = MatchKind(eco.match_kind)
 
-    # E005: the reuse premise — same kind, library, objective.
+    # E005: the reuse premise — same kind, library, objective, and the
+    # same pattern set (or one built from the same library object with
+    # the same variant count).
     for field_name, eco_value, base_value in (
         ("match_kind", eco.match_kind, base.match_kind),
         ("library", eco.library, base.library),
@@ -81,6 +83,14 @@ def certify_patch(
                 f"{field_name} {base_value!r}",
                 obj=eco.netlist.name,
             )
+    if not labels.patterns.same_set(base.labels.patterns):
+        report.add(
+            "E005",
+            f"eco run pattern set ({labels.patterns.max_variants} variants) "
+            f"is not the base mapping's ({base.labels.patterns.max_variants} "
+            f"variants, or another library object)",
+            obj=eco.netlist.name,
+        )
 
     covered_reused = 0
     covered_remapped = 0

@@ -125,17 +125,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_eco(args: argparse.Namespace) -> int:
     from repro.eco import eco_remap
+    from repro.library.patterns import PatternSet
 
     base_net = read_blif(args.base)
     edited_net = read_blif(args.edited)
-    library = resolve_library(args.library)
+    patterns = PatternSet(resolve_library(args.library), args.variants)
     kind = MatchKind(args.match)
     arrivals = _parse_arrivals(args.arrivals)
     base = map_dag(decompose_network(base_net, style=args.decompose),
-                   library, kind=kind, max_variants=args.variants,
-                   arrival_times=arrivals)
-    eco = eco_remap(base, edited_net, library, arrival_times=arrivals,
-                    max_variants=args.variants, decompose=args.decompose)
+                   patterns, kind=kind, arrival_times=arrivals)
+    eco = eco_remap(base, edited_net, patterns, arrival_times=arrivals,
+                    decompose=args.decompose)
     result = eco.result
     print(f"base      : {base_net.name} "
           f"(delay {base.delay:.3f}, area {base.area:.2f})")
@@ -152,8 +152,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         from repro.network.mapped_io import dumps_mapped_blif
 
         scratch = map_dag(decompose_network(edited_net, style=args.decompose),
-                          library, kind=kind, max_variants=args.variants,
-                          arrival_times=arrivals)
+                          patterns, kind=kind, arrival_times=arrivals)
         identical = (result.delay == scratch.delay
                      and result.area == scratch.area
                      and dumps_mapped_blif(result.netlist)

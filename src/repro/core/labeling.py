@@ -26,13 +26,16 @@ and by the area-objective tree mapper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import MappingError
 from repro.core.match import Match, Matcher, MatchKind
 from repro.library.patterns import PatternSet
 from repro.network.subject import SubjectGraph, SubjectNode
+
+if TYPE_CHECKING:
+    from repro.eco.keys import BaseKeys
 
 __all__ = ["Labels", "ReuseHook", "compute_labels"]
 
@@ -54,6 +57,10 @@ class Labels:
         po_arrival: PO name -> arrival of its driver.
         n_matches: total number of matches enumerated (work measure).
         objective: 'delay' or 'area'.
+        patterns: the pattern set the labels were computed with.
+        eco_keys: what :func:`repro.eco.eco_remap` keeps of these labels
+            when they serve as its base; set by its first call against
+            them.
     """
 
     subject: SubjectGraph
@@ -63,7 +70,11 @@ class Labels:
     n_matches: int
     objective: str
     area_flow: List[float]
+    patterns: PatternSet
     match_stats: Optional[Dict[str, float]] = None
+    eco_keys: Optional["BaseKeys"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def max_arrival(self) -> float:
@@ -222,5 +233,6 @@ def compute_labels(
         n_matches=n_matches,
         objective=objective,
         area_flow=area_flow,
+        patterns=patterns,
         match_stats=matcher.stats.as_dict(),
     )

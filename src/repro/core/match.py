@@ -36,7 +36,7 @@ from repro.library.npn_table import ShapeKey, intern_shape_key
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
-from repro.perf.signature import cone_signature
+from repro.perf.signature import Signature, cone_signature
 
 __all__ = [
     "MatchKind",
@@ -203,6 +203,25 @@ class Matcher:
         self._sig_cache: Optional[Dict[Tuple[int, ...], List[_SigTemplate]]] = (
             {} if cache else None
         )
+        # Signatures a caller computed for one subject (offer_signatures),
+        # and the attached subject's adopted copy of them.
+        self._offered: Optional[Tuple[SubjectGraph, List[Optional[Signature]]]] = None
+        self._signatures: Optional[List[Optional[Signature]]] = None
+
+    def offer_signatures(
+        self, subject: SubjectGraph, signatures: List[Optional[Signature]]
+    ) -> None:
+        """Hand in cone signatures already computed for ``subject``'s nodes.
+
+        ``signatures[uid]`` must be ``cone_signature`` of that node
+        under this matcher's pattern set and kind (``None`` where not
+        computed).  The next :meth:`attach` adopts them if it attaches
+        this very subject, and :meth:`matches_at` then reads a node's
+        signature instead of walking its cone again; attaching any other
+        subject drops them, and a node whose entry is not rooted at it
+        gets its own walk.
+        """
+        self._offered = (subject, signatures)
 
     # ------------------------------------------------------------------
     def attach(self, subject: SubjectGraph) -> None:
@@ -231,6 +250,10 @@ class Matcher:
         # key is the interned subtree shape, so every pattern sharing the
         # shape shares the entry.
         self._feasible_cache: Dict[Tuple[int, int], bool] = {}
+        offered, self._offered = self._offered, None
+        self._signatures = (
+            offered[1] if offered is not None and offered[0] is subject else None
+        )
         self.filter_on = self._wants_filter(subject)
         if self.filter_on:
             table = self.patterns.npn_table
@@ -464,12 +487,18 @@ class Matcher:
             return self._matches_at_direct(snode)
         assert self._sig_cache is not None  # cache=True invariant
         stats = self.stats
-        sig, cone = cone_signature(
-            snode,
-            self.patterns.max_depth,
-            uses=self._uses if self.kind is MatchKind.EXACT else None,
-            use_cap=self.patterns.use_cap,
-        )
+        signatures = self._signatures
+        entry: Optional[Signature] = None
+        if signatures is not None and snode.uid < len(signatures):
+            entry = signatures[snode.uid]
+        if entry is None or entry[1][0] is not snode:
+            entry = cone_signature(
+                snode,
+                self.patterns.max_depth,
+                uses=self._uses if self.kind is MatchKind.EXACT else None,
+                use_cap=self.patterns.use_cap,
+            )
+        sig, cone = entry
         templates = self._sig_cache.get(sig)
         if templates is not None:
             # Replay: rebind every cached match onto this root through the
@@ -534,7 +563,7 @@ class Matcher:
             group = group_of[id(pattern)]
             bindings = group_bindings.get(id(group))
             if bindings is None:
-                bindings = list(self._enumerate(group.rep, snode))
+                bindings = self._enumerate(group.rep, snode)
                 group_bindings[id(group)] = bindings
                 stats.groups_enumerated += 1
                 stats.bindings_enumerated += len(bindings)
@@ -556,88 +585,85 @@ class Matcher:
     # ------------------------------------------------------------------
     def _enumerate(
         self, pattern: PatternGraph, root: SubjectNode
-    ) -> Iterator[Dict[int, SubjectNode]]:
-        """Yield complete bindings of ``pattern`` rooted at ``root``.
+    ) -> List[Dict[int, SubjectNode]]:
+        """Complete bindings of ``pattern`` rooted at ``root``, in DFS order.
 
         Obligations live on one shared stack (top = end of list): each
-        frame pops its obligation, pushes child obligations before
+        level pops its obligation, pushes child obligations before
         recursing and restores the stack on the way out, so a step costs
-        O(1) instead of the former O(n) list slice per recursion level.
+        O(1).  Plain recursion that appends each complete binding to the
+        result list: one Python frame per obligation, where nested
+        generators cost a frame per level for every binding yielded.
         """
         injective = self.kind is not MatchKind.EXTENDED
         exact = self.kind is MatchKind.EXACT
         pattern_fanout = pattern.fanout
         swap_safe = pattern.swap_safe
+        feasible = self._feasible
+        uses = self._uses
         binding: Dict[int, SubjectNode] = {}
-        images: Dict[int, int] = {}  # subject uid -> pattern uid
+        # Subject uids bound so far; only injective kinds consult it.
+        images: Set[int] = set()
         stack: List[Tuple[PatternNode, SubjectNode]] = [(pattern.root, root)]
+        out: List[Dict[int, SubjectNode]] = []
 
-        def assign() -> Iterator[None]:
+        def assign() -> None:
             if not stack:
-                yield None
+                out.append(dict(binding))
                 return
             pnode, snode = stack.pop()
-            try:
-                prior = binding.get(pnode.uid)
-                if prior is not None:
-                    if prior is snode:
-                        yield from assign()
-                    return
-                if injective and snode.uid in images:
-                    return
-                if pnode.kind is NodeType.PI:
-                    binding[pnode.uid] = snode
-                    images[snode.uid] = pnode.uid
-                    try:
-                        yield from assign()
-                    finally:
-                        del binding[pnode.uid]
-                        if images.get(snode.uid) == pnode.uid:
-                            del images[snode.uid]
-                    return
-                if not self._feasible(pnode, snode):
-                    return
-                if exact and pattern_fanout.get(pnode.uid, 0) > 0:
-                    # Interior node: all subject fanout must stay inside the
-                    # match, i.e. out-degree equality (Definition 2, cond. 3).
-                    if self._uses[snode.uid] != pattern_fanout[pnode.uid]:
-                        return
-                binding[pnode.uid] = snode
-                images[snode.uid] = pnode.uid
-                try:
-                    if pnode.kind is NodeType.INV:
-                        stack.append((pnode.fanins[0], snode.fanins[0]))
-                        yield from assign()
-                        stack.pop()
-                    else:
-                        p0, p1 = pnode.fanins
-                        s0, s1 = snode.fanins
-                        stack.append((p1, s1))
-                        stack.append((p0, s0))
-                        yield from assign()
-                        stack.pop()
-                        stack.pop()
-                        if s0 is not s1 and pnode.uid not in swap_safe:
-                            # swap_safe: disjoint isomorphic tree children
-                            # make the swapped order redundant (it can only
-                            # reproduce cost-identical matches).
-                            stack.append((p1, s0))
-                            stack.append((p0, s1))
-                            yield from assign()
-                            stack.pop()
-                            stack.pop()
-                finally:
-                    del binding[pnode.uid]
-                    if images.get(snode.uid) == pnode.uid:
-                        del images[snode.uid]
-            finally:
-                stack.append((pnode, snode))
+            puid = pnode.uid
+            prior = binding.get(puid)
+            if prior is not None:
+                if prior is snode:
+                    assign()
+            elif injective and snode.uid in images:
+                pass
+            elif pnode.kind is NodeType.PI:
+                binding[puid] = snode
+                if injective:
+                    images.add(snode.uid)
+                    assign()
+                    images.discard(snode.uid)
+                else:
+                    assign()
+                del binding[puid]
+            elif feasible(pnode, snode) and not (
+                # Interior node: all subject fanout must stay inside the
+                # match, i.e. out-degree equality (Definition 2, cond. 3).
+                exact
+                and pattern_fanout.get(puid, 0) > 0
+                and uses[snode.uid] != pattern_fanout[puid]
+            ):
+                binding[puid] = snode
+                if injective:
+                    images.add(snode.uid)
+                if pnode.kind is NodeType.INV:
+                    stack.append((pnode.fanins[0], snode.fanins[0]))
+                    assign()
+                    stack.pop()
+                else:
+                    p0, p1 = pnode.fanins
+                    s0, s1 = snode.fanins
+                    stack.append((p1, s1))
+                    stack.append((p0, s0))
+                    assign()
+                    if s0 is not s1 and puid not in swap_safe:
+                        # swap_safe: disjoint isomorphic tree children
+                        # make the swapped order redundant (it can only
+                        # reproduce cost-identical matches).
+                        stack[-2] = (p1, s0)
+                        stack[-1] = (p0, s1)
+                        assign()
+                    del stack[-2:]
+                if injective:
+                    images.discard(snode.uid)
+                del binding[puid]
+            stack.append((pnode, snode))
 
-        try:
-            for _ in assign():
-                yield dict(binding)
-        finally:
-            del assign  # break the closure's self-reference (see cone_signature)
+        assign()
+        del assign  # break the closure's self-reference
+        return out
 
     def subject_uses(self, snode: SubjectNode) -> int:
         """Fanout-use count of a subject node (edges plus PO references)."""

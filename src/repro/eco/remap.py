@@ -5,13 +5,16 @@ that invalidate only the fanout cones of the touched nodes.  This module
 remaps such an edit incrementally:
 
 1. decompose the edited network into its subject graph,
-2. compute interned eco keys (:mod:`repro.eco.keys`) for the base run's
-   subject and the edited subject over a shared table,
+2. compute interned eco keys (:mod:`repro.eco.keys`) for the edited
+   subject, in an overlay over the base's kept key table (the base's
+   own keys are computed on the first call against it and kept on its
+   labels),
 3. label the edited subject with :func:`repro.core.dag_mapper.map_dag`,
    splicing the base run's ``(arrival, area_flow, match)`` verbatim at
    every *clean* node (its key occurs in the base subject) through the
    labeling reuse hook, and running ordinary matching only on the dirty
-   region,
+   region — on the cone signatures the key pass computed, which it
+   hands to the matcher,
 4. re-certify the patch with :func:`repro.check.eco.certify_patch`
    (E-series codes), which structurally verifies every spliced and
    remapped match in the final cover.
@@ -50,7 +53,7 @@ from repro.network.bnet import BooleanNetwork
 from repro.network.decompose import decompose_network
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.check.diagnostics import CheckReport
-from repro.eco.keys import EcoKeyTable, compute_subject_keys
+from repro.eco.keys import BaseKeys, EcoKeyTable, compute_subject_keys
 
 __all__ = ["EcoResult", "eco_remap"]
 
@@ -70,8 +73,9 @@ class EcoResult:
         patch_report: the patch-certification report (E-series codes);
             ``None`` when certification was disabled.
         cpu_seconds: wall-clock of the whole incremental run, including
-            both key passes (``result.cpu_seconds`` covers only the
-            labeling + cover portion).
+            the key passes — the base's only on the first call against
+            it (``result.cpu_seconds`` covers only the labeling + cover
+            portion).
     """
 
     result: MappingResult
@@ -111,12 +115,50 @@ def _require_delay_dag_base(base: MappingResult) -> None:
         )
 
 
+def _require_same_patterns(
+    patterns: PatternSet, base: MappingResult, matcher: Optional[Matcher],
+    kind: MatchKind,
+) -> None:
+    """M006: the call and its matcher use the set that labelled the base."""
+    base_set = base.labels.patterns
+    if not patterns.same_set(base_set):
+        raise MappingError(
+            f"[M006] eco_remap pattern set ({patterns.library.name!r}, "
+            f"{patterns.max_variants} variants) is not the set that "
+            f"labelled the base ({base_set.library.name!r}, "
+            f"{base_set.max_variants} variants); pass that set, or one "
+            "built from the same library object with the same variant "
+            "count: reuse across pattern sets is unsound"
+        )
+    if matcher is not None and (
+        matcher.kind is not kind or not matcher.patterns.same_set(base_set)
+    ):
+        raise MappingError(
+            f"[M006] eco_remap matcher ({matcher.kind.value} matches, "
+            f"{matcher.patterns.library.name!r}, "
+            f"{matcher.patterns.max_variants} variants) is not built for "
+            f"the base's pattern set and {kind.value} matches"
+        )
+
+
+def _base_keys(base: MappingResult, patterns: PatternSet, kind: MatchKind) -> BaseKeys:
+    """The base's kept keys, computed on the first call against it."""
+    labels = base.labels
+    kept = labels.eco_keys
+    if kept is None:
+        subject = labels.subject
+        table = EcoKeyTable()
+        arrivals = {pi.name: labels.arrival[pi.uid] for pi in subject.pis}
+        keys = compute_subject_keys(subject, kind, arrivals, patterns, table)
+        kept = labels.eco_keys = BaseKeys(labels, table, keys)
+    return kept
+
+
 def eco_remap(
     base: MappingResult,
     edited: Union[BooleanNetwork, SubjectGraph],
     library: Union[GateLibrary, PatternSet],
     arrival_times: Optional[Dict[str, float]] = None,
-    base_arrival_times: Optional[Dict[str, float]] = None,
     max_variants: int = 16,
     decompose: str = "balanced",
     matcher: Optional[Matcher] = None,
@@ -127,20 +169,21 @@ def eco_remap(
 
     Args:
         base: the base network's mapping — a ``map_dag`` result with the
-            ``delay`` objective.  The match kind is inherited from it.
+            ``delay`` objective.  The match kind is inherited from it,
+            and its PI arrival times are read from its labels.  The
+            first call against a base keeps its eco keys on its labels.
         edited: the edited network (decomposed with ``decompose`` style)
             or a pre-built subject graph.
-        library: the *same* library (or pattern set) the base run used;
-            a mismatching library name is rejected with ``M006``.
+        library: the pattern set that labelled the base, an equal one
+            (same library object, same variant count) or that library;
+            any other set is rejected with ``M006``.
         arrival_times: PI arrival times for the edited run.
-        base_arrival_times: PI arrival times the *base* run was labeled
-            with; defaults to ``arrival_times``.  Getting this wrong is
-            safe but slow — keys stop matching and everything remaps.
         max_variants: pattern-decomposition variants (when ``library``
             is a raw :class:`GateLibrary`).
         decompose: technology-decomposition style for ``edited``.
         matcher: optional pre-built matcher (same patterns/kind) shared
-            across calls to amortise its caches.
+            across calls to amortise its caches; one for another set or
+            kind is rejected with ``M006``.
         certify: run :func:`repro.check.eco.certify_patch` on the result
             and raise :class:`~repro.errors.CertificateError` when the
             patch report contains errors.
@@ -155,71 +198,40 @@ def eco_remap(
     started = time.perf_counter()
     _require_delay_dag_base(base)
     kind = MatchKind(base.match_kind)
-
     patterns = PatternSet.of(library, max_variants)
-    if patterns.library.name != base.library:
-        raise MappingError(
-            f"[M006] eco_remap library {patterns.library.name!r} does not "
-            f"match the base mapping's library {base.library!r}; reuse "
-            "across libraries is unsound"
-        )
+    _require_same_patterns(patterns, base, matcher, kind)
 
     if isinstance(edited, SubjectGraph):
         new_subject = edited
     else:
         new_subject = decompose_network(edited, style=decompose)
 
-    old_labels = base.labels
-    old_subject = old_labels.subject
-    if base_arrival_times is None:
-        base_arrival_times = arrival_times
-
-    table = EcoKeyTable()
-    old_keys = compute_subject_keys(
-        old_subject, kind, base_arrival_times or {}, patterns, table
-    )
+    kept = _base_keys(base, patterns, kind)
     new_keys = compute_subject_keys(
-        new_subject, kind, arrival_times or {}, patterns, table
+        new_subject, kind, arrival_times or {}, patterns, EcoKeyTable(kept.table)
     )
-
-    # First topological occurrence of each key in the base subject is the
-    # splice donor; later occurrences are structurally identical anyway.
-    donor_of: Dict[int, int] = {}
-    for node in old_subject.topological():
-        if not node.is_pi:
-            donor_of.setdefault(old_keys.keys[node.uid], node.uid)
-
+    keys, signatures, donors = new_keys.keys, new_keys.signatures, kept.donors
     reused: Set[int] = set()
 
     def reuse(node: SubjectNode) -> Optional[Tuple[float, float, Match]]:
-        donor_uid = donor_of.get(new_keys.keys[node.uid])
-        if donor_uid is None:
+        donor = donors.get(keys[node.uid])
+        signature = signatures[node.uid]
+        if donor is None or signature is None:
             return None
-        donor_match = old_labels.best[donor_uid]
-        if donor_match is None:
-            return None  # pragma: no cover - labeling always sets best
-        donor_cone = old_keys.cones[donor_uid]
-        new_cone = new_keys.cones[node.uid]
-        if donor_cone is None or new_cone is None:
-            return None  # pragma: no cover - internal nodes carry cones
-        pos_of = {id(member): pos for pos, member in enumerate(donor_cone)}
-        try:
-            binding = {
-                puid: new_cone[pos_of[id(snode)]]
-                for puid, snode in donor_match.binding.items()
-            }
-        except KeyError:
-            # A bound node escaped the donor's signature cone (the
-            # EXTENDED defensive case of Matcher.matches_at): there is no
-            # canonical rebinding, so treat the node as dirty.
-            return None
+        arrival, area_flow, pattern, items = donor
+        cone = signature[1]
         reused.add(node.uid)
         return (
-            old_labels.arrival[donor_uid],
-            old_labels.area_flow[donor_uid],
-            Match(donor_match.pattern, node, binding),
+            arrival,
+            area_flow,
+            Match(pattern, node, {puid: cone[pos] for puid, pos in items}),
         )
 
+    # The key pass has walked every cone; the matcher reads the dirty
+    # nodes' signatures instead of walking them again.
+    if matcher is None:
+        matcher = Matcher(patterns, kind)
+    matcher.offer_signatures(new_subject, signatures)
     result = map_dag(
         new_subject,
         patterns,

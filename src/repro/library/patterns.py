@@ -491,6 +491,8 @@ class PatternSet:
     is written afterwards.
 
     Attributes:
+        library: the gate library the set was built from.
+        max_variants: pattern-decomposition variants per gate.
         patterns: every pattern graph.
         by_root_kind: patterns grouped by root node type, the matcher's
             first-level filter.
@@ -509,6 +511,7 @@ class PatternSet:
         max_variants: int = DEFAULT_MAX_VARIANTS,
     ):
         self.library = library
+        self.max_variants = max_variants
         self.patterns: List[PatternGraph] = []
         self.skipped: List[str] = []
         for gate in library:
@@ -554,6 +557,18 @@ class PatternSet:
         from repro.library.npn_table import build_npn_table
 
         return build_npn_table(self)
+
+    def same_set(self, other: "PatternSet") -> bool:
+        """Whether ``other`` holds exactly this set's patterns.
+
+        True for this set and for any set built from the same library
+        object with the same variant count: generation is deterministic,
+        so both hold equal patterns in the same order.
+        """
+        return other is self or (
+            other.library is self.library
+            and other.max_variants == self.max_variants
+        )
 
     def for_root(self, kind: NodeType) -> List[PatternGraph]:
         return self.by_root_kind.get(kind, [])

@@ -37,11 +37,14 @@ Why the cone suffices (soundness):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.network.subject import NodeType, SubjectNode
 
-__all__ = ["cone_signature"]
+__all__ = ["Signature", "cone_signature"]
+
+#: One node's signature: (token tuple, canonical cone nodes).
+Signature = Tuple[Tuple[int, ...], List[SubjectNode]]
 
 #: Token codes.  The serialization is prefix-decodable: INV is followed by
 #: one child encoding, NAND2 by two, PI/CUT/back-refs are terminal, and an
@@ -58,7 +61,7 @@ def cone_signature(
     depth_limit: int,
     uses: Optional[List[int]] = None,
     use_cap: int = 0,
-) -> Tuple[Tuple[int, ...], List[SubjectNode]]:
+) -> Signature:
     """Canonical signature of the matching-relevant cone under ``root``.
 
     Args:
@@ -78,55 +81,55 @@ def cone_signature(
     # Pass 1: minimum edge distance from the root, BFS by levels.  A node
     # is expanded in the serialization iff it is internal and its minimum
     # distance is strictly below the limit; everything first reachable at
-    # exactly the limit is an opaque cut point.
-    min_depth = {id(root): 0}
+    # exactly the limit is an opaque cut point.  Nodes hash by identity,
+    # so they key the walk's dicts directly.
+    min_depth = {root: 0}
     frontier = [root]
-    for d in range(depth_limit):
+    for d in range(1, depth_limit + 1):
         nxt: List[SubjectNode] = []
         for node in frontier:
-            if node.kind is NodeType.PI:
-                continue
-            for fanin in node.fanins:
-                key = id(fanin)
-                if key not in min_depth:
-                    min_depth[key] = d + 1
+            for fanin in node.fanins:  # a PI has none
+                if fanin not in min_depth:
+                    min_depth[fanin] = d
                     nxt.append(fanin)
         if not nxt:
             break
         frontier = nxt
 
-    # Pass 2: deterministic DFS preorder following fanin order.  First
+    # Pass 2: deterministic DFS preorder following fanin order, on an
+    # explicit stack (fanins pushed last-first, so the first fanin's
+    # subtree is walked before the second fanin is popped).  First
     # visits allocate dense local ids; re-visits emit back-references,
     # which is what captures the sharing structure.
     tokens: List[int] = []
     nodes: List[SubjectNode] = []
-    index = {}
-    exact = uses is not None
-
-    def visit(node: SubjectNode, is_root: bool) -> None:
-        key = id(node)
-        local = index.get(key)
+    index: Dict[SubjectNode, int] = {}
+    stack = [root]
+    pop = stack.pop
+    push = stack.append
+    emit = tokens.append
+    while stack:
+        node = pop()
+        local = index.get(node)
         if local is not None:
-            tokens.append(-1 - local)
-            return
-        index[key] = len(nodes)
+            emit(-1 - local)
+            continue
+        index[node] = len(nodes)
         nodes.append(node)
-        if min_depth[key] >= depth_limit:
-            tokens.append(_CUT)
-            return
+        if min_depth[node] >= depth_limit:
+            emit(_CUT)
+            continue
         kind = node.kind
         if kind is NodeType.PI:
-            tokens.append(_PI)
-            return
-        tokens.append(_INV if kind is NodeType.INV else _NAND2)
-        if exact and not is_root:
-            tokens.append(_USE_BASE + min(uses[node.uid], use_cap))
-        for fanin in node.fanins:
-            visit(fanin, False)
-
-    visit(root, True)
-    # ``visit`` refers to itself through its closure; dropping the name
-    # breaks that cycle, so the call's state is freed by refcounting
-    # instead of piling up for the cyclic garbage collector.
-    del visit
+            emit(_PI)
+            continue
+        emit(_INV if kind is NodeType.INV else _NAND2)
+        if uses is not None and node is not root:
+            emit(_USE_BASE + min(uses[node.uid], use_cap))
+        fanins = node.fanins
+        if len(fanins) == 1:
+            push(fanins[0])
+        else:
+            push(fanins[1])
+            push(fanins[0])
     return tuple(tokens), nodes

@@ -13,13 +13,22 @@ import dataclasses
 
 import pytest
 
+import repro.core.match
+import repro.eco.keys
 from repro.check.eco import certify_patch
 from repro.core.dag_mapper import map_dag
 from repro.core.match import Match, Matcher, MatchKind
 from repro.core.tree_mapper import map_tree
 from repro.eco import EcoKeyTable, compute_subject_keys, eco_remap
 from repro.errors import CertificateError, MappingError
-from repro.fuzz.generator import FuzzConfig, random_dag, random_edit_pair
+from repro.fuzz.generator import (
+    FuzzConfig,
+    derive_edit_seed,
+    random_dag,
+    random_edit_pair,
+    random_edit_script,
+)
+from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.edits import Edit, EditScript
 from repro.network.mapped_io import dumps_mapped_blif
@@ -132,24 +141,27 @@ class TestEdgeCases:
         base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, engine)
         moved = {pi: 3.25 for pi in base_net.pis}
         eco = eco_remap(base, base_net, mini_patterns, arrival_times=moved,
-                        base_arrival_times={}, matcher=forced(
-                            mini_patterns, MatchKind.STANDARD, engine))
+                        matcher=forced(mini_patterns, MatchKind.STANDARD, engine))
         assert eco.nodes_reused == 0
         scratch = scratch_map(
             base_net, mini_patterns, MatchKind.STANDARD, engine, moved
         )
         assert identical(eco.result, scratch)
 
-    def test_wrong_base_arrivals_caught_by_certificate(self, mini_patterns,
-                                                       edit_pair):
-        """Claiming the base run used the new arrivals splices stale labels;
-        the E003 arrival cross-check must refuse the patch."""
-        base_net, _, _ = edit_pair
+    def test_base_arrivals_read_from_labels(self, mini_patterns, edit_pair):
+        """The base's PI arrivals come from its labels, never from the
+        edited run's: moving some arrivals along with an edit splices no
+        stale label, and the result equals from-scratch."""
+        base_net, edited, _ = edit_pair
         base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD,
                            "structural")
-        moved = {pi: 3.25 for pi in base_net.pis}
-        with pytest.raises(CertificateError, match="E003"):
-            eco_remap(base, base_net, mini_patterns, arrival_times=moved)
+        moved = {pi: 3.25 for pi in list(base_net.pis)[:2]}
+        eco = eco_remap(base, edited, mini_patterns, arrival_times=moved)
+        scratch = scratch_map(edited, mini_patterns, MatchKind.STANDARD,
+                              "structural", moved)
+        assert identical(eco.result, scratch)
+        assert eco.nodes_reused > 0
+        assert not eco.patch_report.has_errors
 
     def test_po_toggle_preserves_ordering(self, mini_patterns):
         """A PO-only edit: covers splice wholesale, PO order must survive."""
@@ -197,6 +209,102 @@ class TestValidation:
         base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD, "structural")
         with pytest.raises(MappingError, match=r"\[M006\]"):
             eco_remap(base, edited, lib441_patterns)
+
+
+class TestPatternSetCheck:
+    """The base records the pattern set that labelled it (M006, E005)."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return random_edit_pair(FuzzConfig(n_inputs=6, n_nodes=24, seed=0))
+
+    def test_other_variant_count_rejected_m006(self, lib441, lib441_patterns,
+                                               pair):
+        # Spliced under 8 variants, this base gave delay 17.0 where a
+        # from-scratch map gives 16.0.
+        base_net, edited, _ = pair
+        base = map_dag(decompose_network(base_net), PatternSet(lib441, 1))
+        with pytest.raises(MappingError, match=r"\[M006\].*pattern set"):
+            eco_remap(base, edited, lib441_patterns)
+
+    def test_equal_set_accepted(self, lib441, lib441_patterns, pair):
+        base_net, edited, _ = pair
+        base = map_dag(decompose_network(base_net), PatternSet(lib441, 8))
+        eco = eco_remap(base, edited, lib441_patterns)
+        scratch = map_dag(decompose_network(edited), lib441_patterns)
+        assert identical(eco.result, scratch)
+
+    def test_matcher_of_other_kind_rejected_m006(self, lib441_patterns, pair):
+        base_net, edited, _ = pair
+        base = map_dag(decompose_network(base_net), lib441_patterns)
+        with pytest.raises(MappingError, match=r"\[M006\].*matcher"):
+            eco_remap(base, edited, lib441_patterns,
+                      matcher=Matcher(lib441_patterns, MatchKind.EXACT))
+
+    def test_pattern_set_divergence_e005(self, lib441, lib441_patterns, pair):
+        base_net, edited, _ = pair
+        base = map_dag(decompose_network(base_net), lib441_patterns)
+        eco = eco_remap(base, edited, lib441_patterns)
+        other = map_dag(decompose_network(base_net), PatternSet(lib441, 1))
+        report = certify_patch(eco.result, eco.reused_uids, other)
+        assert "E005" in {d.code for d in report.errors()}
+
+
+class TestKeptKeys:
+    """A base's keys are computed once and kept on its labels."""
+
+    def test_second_edit_walks_each_edited_cone_once(self, monkeypatch,
+                                                     mini_patterns, edit_pair):
+        base_net, edited, _ = edit_pair
+        base = scratch_map(base_net, mini_patterns, MatchKind.STANDARD,
+                           "structural")
+        matcher = Matcher(mini_patterns)
+        eco_remap(base, edited, mini_patterns, matcher=matcher)
+        calls = {"keys": 0, "matcher": 0}
+
+        def counting(where, real):
+            def wrapped(*args, **kwargs):
+                calls[where] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(repro.eco.keys, "cone_signature", counting(
+            "keys", repro.eco.keys.cone_signature))
+        monkeypatch.setattr(repro.core.match, "cone_signature", counting(
+            "matcher", repro.core.match.cone_signature))
+        script = random_edit_script(base_net, seed=2, n_edits=2)
+        subject = decompose_network(script.apply(base_net))
+        eco = eco_remap(base, subject, mini_patterns, matcher=matcher)
+        assert eco.nodes_remapped > 0
+        assert calls == {"keys": subject.n_gates, "matcher": 0}
+
+    @pytest.mark.parametrize("kind,engine", ENGINES_BY_KIND)
+    def test_twenty_edits_of_one_base(self, kind, engine, mini_patterns):
+        net = random_dag(FuzzConfig(n_inputs=8, n_nodes=40, seed=5))
+        base = scratch_map(net, mini_patterns, kind, engine)
+        matcher = forced(mini_patterns, kind, engine)
+        sizes = set()
+        for step in range(20):
+            script = random_edit_script(
+                net, seed=derive_edit_seed(net) + step, n_edits=2
+            )
+            edited = script.apply(net)
+            eco = eco_remap(base, edited, mini_patterns, matcher=matcher)
+            scratch = scratch_map(edited, mini_patterns, kind, engine)
+            assert identical(eco.result, scratch), (kind, engine, step)
+            sizes.add(len(base.labels.eco_keys.table))
+        assert len(sizes) == 1, "the kept table grew"
+
+    def test_overlay_never_writes_the_frozen_table(self):
+        frozen = EcoKeyTable()
+        a = frozen.intern(("a",))
+        overlay = EcoKeyTable(frozen)
+        assert overlay.intern(("a",)) == a
+        b = overlay.intern(("b",))
+        assert b not in (a,) and overlay.intern(("b",)) == b
+        assert len(frozen) == 1 and len(overlay) == 2
+        with pytest.raises(ValueError):
+            EcoKeyTable(overlay)
 
 
 def mutated(result, **label_overrides):
