@@ -23,21 +23,24 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import pytest
 
 from repro.bench.suite import TABLE23_NAMES, build_subject
 from repro.core.dag_mapper import map_dag
-from repro.core.match import Matcher
+from repro.core.match import Match, Matcher
 from repro.eco import eco_remap
 from repro.fuzz.generator import random_edit_script
 from repro.library.builtin import lib44_3
-from repro.library.patterns import PatternSet
+from repro.library.patterns import PatternNode, PatternSet
 from repro.network.bitsim import adapt, random_words, simulate_words
 from repro.network.decompose import decompose_network
 from repro.network.mapped_io import dumps_mapped_blif
 from repro.network.simulate import check_equivalent
+from repro.network.subject import NodeType, SubjectNode
 from repro.perf.campaign import run_mapping_campaign, seed_ensemble
 from repro.perf.parallel import default_jobs
 from repro.tune import LatticeConfig, front_csv, front_json, run_pareto, seed_sources
@@ -86,6 +89,59 @@ def _lib44_3_patterns() -> PatternSet:
     return PatternSet(lib44_3(), max_variants=4)
 
 
+class UncachedMatcher(Matcher):
+    """The matcher without its caches: the baseline of two cases.
+
+    Every pattern is enumerated on its own, with no signature replay
+    and no binding groups, and the feasibility memo is keyed by pattern
+    node instead of the trie's shared subtree shapes.  The cut filter
+    runs only when forced.
+    """
+
+    def matches_at(self, snode: SubjectNode) -> List[Match]:
+        if snode.is_pi:
+            return []
+        results: List[Match] = []
+        seen: Set[Tuple[object, ...]] = set()
+        depth = self._depth[snode.uid]
+        for pattern in self._filtered_patterns(snode):
+            if pattern.depth > depth:
+                continue  # the pattern cannot fit above the PIs
+            for binding in self._enumerate(pattern, snode):
+                match = Match(pattern, snode, binding)
+                key = match.identity()
+                if key not in seen:
+                    seen.add(key)
+                    results.append(match)
+        return results
+
+    def _feasible(self, pnode: PatternNode, snode: SubjectNode) -> bool:
+        if pnode.kind is NodeType.PI:
+            return True
+        key = (id(pnode), snode.uid)
+        cached = self._feasible_cache.get(key)
+        if cached is not None:
+            self.stats.feasibility_hits += 1
+            return cached
+        self.stats.feasibility_misses += 1
+        if pnode.kind is not snode.kind:
+            result = False
+        elif pnode.kind is NodeType.INV:
+            result = self._feasible(pnode.fanins[0], snode.fanins[0])
+        else:
+            p0, p1 = pnode.fanins
+            s0, s1 = snode.fanins
+            result = (
+                self._feasible(p0, s0) and self._feasible(p1, s1)
+            ) or (
+                s0 is not s1
+                and self._feasible(p0, s1)
+                and self._feasible(p1, s0)
+            )
+        self._feasible_cache[key] = result
+        return result
+
+
 def _matcher_cache(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
     patterns = _lib44_3_patterns()
     # One shared matcher amortises the trie and the signature cache
@@ -95,8 +151,8 @@ def _matcher_cache(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
         subject = build_subject(name)[1]
         yield (
             name,
-            lambda: map_dag(subject, patterns,
-                            matcher=Matcher(patterns, cache=False)),
+            lambda: map_dag(subject, patterns, matcher=UncachedMatcher(
+                patterns, cut_filter=False)),
             lambda: map_dag(subject, patterns, matcher=shared),
         )
 
@@ -124,15 +180,15 @@ def _bitsim(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
 
 
 def _cut_filter(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
-    # The reference path, where no signature replay masks the filter; the
-    # first filtered run pays the NPN-table build.
+    # The uncached matcher, where no signature replay masks the filter;
+    # the first filtered run pays the NPN-table build.
     patterns = _lib44_3_patterns()
     for name in items:
         subject = build_subject(name)[1]
 
         def side(on: bool) -> Side:
-            return lambda: map_dag(subject, patterns, matcher=Matcher(
-                patterns, cache=False, cut_filter=on))
+            return lambda: map_dag(subject, patterns, matcher=UncachedMatcher(
+                patterns, cut_filter=on))
 
         yield name, side(False), side(True)
 
@@ -220,7 +276,7 @@ def _pareto(items: Sequence[int]) -> Iterator[Tuple[Any, Side, Side]]:
 
 CASES: Dict[str, Case] = {case.name: case for case in (
     Case("matcher_cache",
-         "a fresh Matcher(cache=False) per circuit, 44-3 @ 4",
+         "a fresh UncachedMatcher per circuit, 44-3 @ 4",
          "one shared default Matcher", _matcher_cache,
          TABLE23_NAMES, _FAST_CIRCUITS, ("C2670s",), gate=2.0,
          outputs=_mapped),
@@ -228,7 +284,7 @@ CASES: Dict[str, Case] = {case.name: case for case in (
          "packed simulate_words", _bitsim,
          TABLE23_NAMES, _FAST_CIRCUITS, ("C2670s",), gate=10.0,
          worst_item=True),
-    Case("cut_filter", "Matcher(cache=False), cut filter forced off, 44-3 @ 4",
+    Case("cut_filter", "UncachedMatcher, cut filter forced off, 44-3 @ 4",
          "cut filter forced on, NPN-table build included", _cut_filter,
          TABLE23_NAMES, _FAST_CIRCUITS, ("C2670s",), gate=2.0,
          outputs=_mapped),

@@ -21,7 +21,10 @@ and checks, with code from outside the mapper's hot path:
           random beyond);
 ``C006``  the reported delay equals the labeling bound (worst PO
           arrival), and — when a pattern set is supplied — an
-          independent cache-free relabeling reproduces it;
+          independent relabeling reproduces it: every node's exact
+          minimum arrival over the matches of
+          :class:`repro.check.reference_match.ReferenceMatcher`, which
+          shares no code with the production matcher's enumeration;
 ``C007``  the netlist is structurally sound (``netlist.check()``);
 ``C008``  a node reached by the cover walk has a selected match;
 ``C009``  (warning) the reported area equals the netlist's cell-area sum;
@@ -34,12 +37,14 @@ oracle, and the opt-in ``check=`` hook in the mappers.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Dict, Optional, Sequence, Set
 
 from repro.check.diagnostics import CheckReport
+from repro.check.reference_match import ReferenceMatcher
 from repro.core.cover import signal_name
-from repro.core.match import Match, Matcher, MatchKind, subject_uses, verify_match
+from repro.core.match import Match, MatchKind, subject_uses, verify_match
 from repro.core.result import MappingResult
 from repro.errors import CertificateError, MappingError, NetworkError
 from repro.library.patterns import PatternSet
@@ -92,8 +97,10 @@ def certify_mapping(
             :func:`repro.core.cover.build_cover`, when one was (area
             recovery does this); without it the certificate replays the
             cover from ``labels.best`` alone.
-        patterns: when given, an independent cache-free relabeling
-            cross-checks the delay bound (slow; off by default).
+        patterns: when given, an independent relabeling with the
+            reference enumerator cross-checks the delay bound (slow;
+            off by default).  It starts from the run's PI arrivals, and
+            ``report.meta["relabel_steps"]`` records its work.
         vectors: random simulation batch width past ``exhaustive_limit``
             (default: ``REPRO_SIM_VECTORS`` or 4096).
         seed: PRNG seed for the random equivalence stage (default:
@@ -282,7 +289,7 @@ def certify_mapping(
 
     # ------------------------------------------------------------------
     # C006: reported delay vs. the labeling bound, and (optionally) an
-    # independent relabeling with the memoization layer disabled.
+    # independent relabeling with the reference enumerator.
     if labels.objective == "delay":
         bound = labels.max_arrival
         if target is None:
@@ -344,18 +351,24 @@ def certify_mapping(
                     obj=netlist.name,
                 )
         if patterns is not None:
-            from repro.core.labeling import compute_labels
-
-            independent = compute_labels(
-                subject, patterns, kind=kind,
-                matcher=Matcher(patterns, kind, cache=False),
-            )
-            if abs(independent.max_arrival - bound) > _TOL:
+            reference = ReferenceMatcher(patterns, kind, subject)
+            # PIs keep the run's arrivals; every other label is the
+            # exact minimum over the reference enumerator's matches.
+            relabel = list(labels.arrival)
+            for node in subject.topological():
+                if not node.is_pi:
+                    relabel[node.uid] = min(
+                        (_match_cost(m, relabel)
+                         for m in reference.matches_at(node)),
+                        default=math.inf,
+                    )
+            independent = max(relabel[driver.uid] for _, driver in subject.pos)
+            report.meta["relabel_steps"] = reference.steps
+            if abs(independent - bound) > _TOL:
                 report.add(
                     "C006",
                     f"independent relabeling gives bound "
-                    f"{independent.max_arrival:.6g}, run recorded "
-                    f"{bound:.6g}",
+                    f"{independent:.6g}, run recorded {bound:.6g}",
                     obj=netlist.name,
                 )
 

@@ -51,8 +51,7 @@ def map_dag(
         max_variants: pattern-decomposition variants per gate.
         matcher: optional pre-built :class:`repro.core.match.Matcher`
             reused across circuits (amortises its signature cache), or
-            one built with non-default options such as the
-            ``cache=False`` reference path.
+            one with its cut filter forced on or off.
         check: certify the result via :mod:`repro.check` before
             returning; the report is attached as ``result.certificate``
             and :class:`~repro.errors.CertificateError` is raised when

@@ -121,8 +121,8 @@ def compute_labels(
             both the trie construction and the memoized match sets).
             Must have been constructed with the same patterns and kind.
             ``None`` builds a default :class:`~repro.core.match.Matcher`;
-            ``Matcher(patterns, kind, cache=False)`` is the reference
-            path, which produces identical labels.
+            one with its cut filter forced on or off produces identical
+            labels.
         reuse: optional ECO splice hook (:data:`ReuseHook`).  Consulted
             for every internal node *before* matching; when it returns a
             ``(arrival, area_flow, match)`` triple the node's label is
@@ -160,8 +160,7 @@ def compute_labels(
     n_matches = 0
 
     # Fanout-use counts for the area-flow estimate, clamped to >= 1;
-    # hoisted into Matcher.attach() so the pass reads one precomputed
-    # list instead of a per-node (PIs included) subject_uses() call.
+    # Matcher.attach() precomputes them for every node, PIs included.
     uses = matcher.uses_floor
 
     for node in subject.topological():

@@ -140,14 +140,14 @@ CUT_FILTER_MIN_GATES = 64
 class Matcher:
     """Enumerates matches of a pattern set on a subject graph.
 
-    With ``cache=True`` (the default) the matcher runs the performance
-    layer of :mod:`repro.perf`: structural cone signatures memoize whole
-    ``matches_at`` results across structurally identical subject nodes,
-    and the pattern trie shares binding enumeration and feasibility work
-    across patterns.  Both are exact — the produced match lists are
-    byte-identical, in content and order, to the uncached path
-    (``cache=False``), which is preserved as the reference implementation
-    (the certificate's independent relabeling runs it).
+    The matcher runs the performance layer of :mod:`repro.perf`:
+    structural cone signatures memoize whole ``matches_at`` results
+    across structurally identical subject nodes, and the pattern trie
+    shares binding enumeration and feasibility work across patterns.
+    Both are exact: they change the work, never the match list.  The
+    certificate's independent relabeling (C006) checks the matcher
+    against :class:`repro.check.reference_match.ReferenceMatcher`,
+    which shares none of this machinery.
 
     On rich libraries a **cut filter** runs in front of the binding
     enumerator at every signature miss: two sound pre-filters of
@@ -161,13 +161,14 @@ class Matcher:
     (a pruned pattern provably has no match) and never reorder, so the
     match stream is byte-identical with or without the filter.
 
-    :meth:`attach` decides per subject whether the filter runs: on the
-    cached path, for non-EXTENDED kinds, when the pattern trie has at
-    least :data:`CUT_FILTER_MIN_GROUPS` groups and the subject at least
+    :meth:`attach` decides per subject whether the filter runs: for
+    non-EXTENDED kinds, when the pattern trie has at least
+    :data:`CUT_FILTER_MIN_GROUPS` groups and the subject at least
     :data:`CUT_FILTER_MIN_GATES` gates.  ``cut_filter=True``/``False``
     overrides that rule (differential checks and benchmarks compare the
     two); forcing it on for EXTENDED matches, which are not injective,
-    raises :class:`~repro.errors.MappingError`.
+    raises :class:`~repro.errors.MappingError`.  The filter is the
+    matcher's only switch between code paths.
 
     Pattern-side facts (fanouts, use cap, trie, NPN table) belong to the
     :class:`PatternSet`; a matcher holds per-subject state and its memos.
@@ -177,8 +178,6 @@ class Matcher:
         self,
         patterns: PatternSet,
         kind: MatchKind = MatchKind.STANDARD,
-        cache: bool = True,
-        stats: Optional[MatchStats] = None,
         cut_filter: Optional[bool] = None,
     ):
         if cut_filter and kind is MatchKind.EXTENDED:
@@ -189,8 +188,7 @@ class Matcher:
             )
         self.patterns = patterns
         self.kind = kind
-        self.cache = cache
-        self.stats = stats if stats is not None else MatchStats()
+        self.stats = MatchStats()
         self._force_filter = cut_filter
         #: whether the cut filter runs on the attached subject.
         self.filter_on = False
@@ -200,9 +198,7 @@ class Matcher:
         self._shape_keys: List[ShapeKey] = []
         # signature key -> list of (pattern, ((pattern uid, cone index), ...))
         # templates; subject-independent, so it survives attach().
-        self._sig_cache: Optional[Dict[Tuple[int, ...], List[_SigTemplate]]] = (
-            {} if cache else None
-        )
+        self._sig_cache: Dict[Tuple[int, ...], List[_SigTemplate]] = {}
         # Signatures a caller computed for one subject (offer_signatures),
         # and the attached subject's adopted copy of them.
         self._offered: Optional[Tuple[SubjectGraph, List[Optional[Signature]]]] = None
@@ -233,8 +229,8 @@ class Matcher:
         """
         self._uses = subject.use_counts()
         # Clamped-to-1 view for area-flow denominators: hoisted here so
-        # the labeling pass reads one list instead of calling
-        # subject_uses() per node (PIs included).
+        # the labeling pass reads one list instead of counting uses per
+        # node (PIs included).
         self._uses_floor: List[int] = [u if u > 1 else 1 for u in self._uses]
         self._depth: List[int] = [0] * len(subject.nodes)
         for node in subject.nodes:
@@ -246,9 +242,9 @@ class Matcher:
         # can the pattern subtree embed at the subject node, ignoring
         # binding constraints?  A necessary condition that is computed at
         # most once per pair — this is what keeps the labeling within the
-        # paper's O(s*p) bound in practice.  With the trie enabled the
-        # key is the interned subtree shape, so every pattern sharing the
-        # shape shares the entry.
+        # paper's O(s*p) bound in practice.  The key is the trie's
+        # interned subtree shape, so every pattern sharing the shape
+        # shares the entry.
         self._feasible_cache: Dict[Tuple[int, int], bool] = {}
         offered, self._offered = self._offered, None
         self._signatures = (
@@ -269,8 +265,7 @@ class Matcher:
         if self._force_filter is not None:
             return self._force_filter
         return (
-            self.cache
-            and self.kind is not MatchKind.EXTENDED
+            self.kind is not MatchKind.EXTENDED
             and len(self.patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
             and subject.n_gates >= CUT_FILTER_MIN_GATES
         )
@@ -452,8 +447,7 @@ class Matcher:
         """Binding-independent embeddability of a pattern subtree."""
         if pnode.kind is NodeType.PI:
             return True
-        pid = self.patterns.trie.shape_of[id(pnode)] if self.cache else id(pnode)
-        key = (pid, snode.uid)
+        key = (self.patterns.trie.shape_of[id(pnode)], snode.uid)
         cached = self._feasible_cache.get(key)
         if cached is not None:
             self.stats.feasibility_hits += 1
@@ -483,9 +477,6 @@ class Matcher:
         """
         if snode.is_pi:
             return []
-        if not self.cache:
-            return self._matches_at_direct(snode)
-        assert self._sig_cache is not None  # cache=True invariant
         stats = self.stats
         signatures = self._signatures
         entry: Optional[Signature] = None
@@ -528,28 +519,13 @@ class Matcher:
         self._sig_cache[sig] = templates
         return results
 
-    def _matches_at_direct(self, snode: SubjectNode) -> List[Match]:
-        """The seed path: every pattern enumerated independently."""
-        results: List[Match] = []
-        seen: Set[Tuple[object, ...]] = set()
-        depth = self._depth[snode.uid]
-        for pattern in self._filtered_patterns(snode):
-            if pattern.depth > depth:
-                continue  # the pattern cannot fit above the PIs
-            for binding in self._enumerate(pattern, snode):
-                match = Match(pattern, snode, binding)
-                key = match.identity()
-                if key not in seen:
-                    seen.add(key)
-                    results.append(match)
-        return results
-
     def _matches_at_grouped(self, snode: SubjectNode) -> List[Match]:
-        """Trie path: one enumeration per pattern group, bindings translated.
+        """One enumeration per pattern group, bindings translated.
 
-        Patterns are still visited in pattern-set order and each group's
-        binding list is in enumeration order, so the match stream — and
-        therefore the identity dedup — is exactly the direct path's.
+        Patterns are visited in pattern-set order and each group's
+        binding list is in enumeration order, so the match stream, and
+        therefore the identity dedup, is exactly what enumerating every
+        pattern on its own would give.
         """
         results: List[Match] = []
         seen: Set[Tuple[object, ...]] = set()
@@ -664,10 +640,6 @@ class Matcher:
         assign()
         del assign  # break the closure's self-reference
         return out
-
-    def subject_uses(self, snode: SubjectNode) -> int:
-        """Fanout-use count of a subject node (edges plus PO references)."""
-        return self._uses[snode.uid]
 
     @property
     def uses_floor(self) -> List[int]:

@@ -1,7 +1,8 @@
 """Matcher/labeling performance layer.
 
-Cooperating pieces, all correctness-preserving by construction and
-enforced byte-identical to the seed path by the test suite:
+Cooperating pieces, all correctness-preserving by construction; the
+test suite checks the matcher's match sets against the certificate's
+reference enumerator (:mod:`repro.check.reference_match`):
 
 * :mod:`repro.perf.signature` — structural cone signatures.  A per-node
   canonical encoding of the local NAND2/INV cone up to the pattern set's

@@ -4,7 +4,9 @@ Two halves:
 
 * **Acceptance** — every Table-2/3 DAG-mapper run (the paper's five
   ISCAS-like circuits under 44-1 and 44-3) must certify with zero error
-  diagnostics, including the independent cache-free relabeling bound.
+  diagnostics; under 44-1 that includes the independent relabeling
+  bound (C006 with ``patterns=``), which must also catch a matcher that
+  misses matches (the no-swap mutant below).
 * **Mutation oracle** — a certified run is copied, one claim is
   falsified (a dropped match, a skewed arrival, a swapped cell, a
   doctored delay/area/PO), and the checker must reject it with the
@@ -24,6 +26,7 @@ from repro.core.tree_mapper import map_tree
 from repro.errors import CertificateError
 from repro.library.builtin import lib44_1, lib44_3, mini_library
 from repro.library.patterns import PatternSet
+from repro.network.subject import NodeType
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,59 @@ class TestTable23Acceptance:
         _, subject = build_subject("C2670s")
         result = map_tree(subject, ps44_1)
         report = certify_mapping(result)
+        assert not report.has_errors, report.format()
+
+
+# ----------------------------------------------------------------------
+# Independent relabeling (C006 with patterns=).
+# ----------------------------------------------------------------------
+def no_swap_patterns(library, max_variants):
+    """A private pattern set whose matcher never tries a swapped fanin order.
+
+    Every NAND2 of every pattern is marked swap-safe, so the production
+    matcher enumerates one fanin order only and misses every match that
+    needs the other: a mutant made of data, with no code patched.  The
+    certificate's reference enumerator reads no swap-safe marks.
+    """
+    patterns = PatternSet(library(), max_variants)
+    for pattern in patterns.patterns:
+        pattern.swap_safe = {
+            node.uid for node in pattern.nodes if node.kind is NodeType.NAND2
+        }
+    return patterns
+
+
+#: Table-2 circuits (44-1 @ 8) whose delay the no-swap mutant changes.
+NO_SWAP_SLOWER_44_1 = ("C2670s", "C5315s", "C7552s")
+
+
+class TestIndependentRelabeling:
+    @pytest.fixture(scope="class")
+    def no_swap_44_1(self):
+        return no_swap_patterns(lib44_1, 8)
+
+    @pytest.mark.parametrize("name", TABLE23_NAMES)
+    def test_no_swap_mutant_fails_c006_where_its_delay_differs(
+        self, name, ps44_1, no_swap_44_1
+    ):
+        _, subject = build_subject(name)
+        good = map_dag(subject, ps44_1)
+        report = certify_mapping(good, patterns=ps44_1)
+        assert not report.has_errors, report.format()
+        mutant = map_dag(subject, no_swap_44_1)
+        slower = mutant.delay > good.delay + 1e-6
+        assert slower is (name in NO_SWAP_SLOWER_44_1)
+        report = certify_mapping(mutant, patterns=no_swap_44_1)
+        assert ("C006" in codes(report)) is slower, report.format()
+
+    @pytest.mark.parametrize("mapper", [map_dag, map_tree],
+                             ids=["dag", "tree"])
+    def test_relabeling_reads_pi_arrivals(self, mapper, ps44_1):
+        _, subject = build_subject("C2670s")
+        late = {subject.pis[0].name: 50.0}
+        result = mapper(subject, ps44_1, arrival_times=late)
+        assert result.delay > mapper(subject, ps44_1).delay
+        report = certify_mapping(result, patterns=ps44_1)
         assert not report.has_errors, report.format()
 
 

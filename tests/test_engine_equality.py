@@ -14,6 +14,7 @@ random circuits).  The rule itself is checked case by case in
 import pytest
 
 from repro.bench.suite import TABLE23_NAMES, build_subject
+from repro.check import certify_mapping
 from repro.core.dag_mapper import map_dag
 from repro.core.labeling import compute_labels
 from repro.core.match import (
@@ -46,8 +47,7 @@ def subjects():
     return {name: build_subject(name)[1] for name in TABLE23_NAMES}
 
 
-def both_filters(mapper, subject, patterns, kind=MatchKind.STANDARD,
-                 cache=True):
+def both_filters(mapper, subject, patterns, kind=MatchKind.STANDARD):
     """Map with the cut filter forced off, then forced on."""
     kwargs = {}
     if mapper is map_tree:
@@ -56,7 +56,7 @@ def both_filters(mapper, subject, patterns, kind=MatchKind.STANDARD,
         kwargs["kind"] = kind
     results = []
     for cut_filter in (False, True):
-        matcher = Matcher(patterns, kind, cache=cache, cut_filter=cut_filter)
+        matcher = Matcher(patterns, kind, cut_filter=cut_filter)
         results.append(mapper(subject, patterns, matcher=matcher, **kwargs))
     off, on = results
     assert off.counters["cut_filter_nodes"] == 0
@@ -111,16 +111,6 @@ class TestLib2:
         assert outputs(c) == outputs(s)
 
 
-class TestReferencePath:
-    """The uncached matcher path must agree too (one circuit is enough —
-    the cached path re-derives from it)."""
-
-    def test_dag_uncached_identical(self, lib441_patterns, subjects):
-        subject = subjects["C2670s"]
-        s, c = both_filters(map_dag, subject, lib441_patterns, cache=False)
-        assert outputs(c) == outputs(s)
-
-
 class TestEngineSelection:
     def test_extended_kind_rejected_for_cuts(self, lib441_patterns):
         with pytest.raises(MappingError, match="standard/exact"):
@@ -151,7 +141,9 @@ def fuzz_subject(nodes, seed=3):
 class TestFilterRule:
     """When the matcher turns its cut filter on by itself."""
 
-    @pytest.mark.parametrize("library,variants,kind,cache,expected", [
+    # ``rule``: the matcher applies its own rule (True) or has the filter
+    # forced off, its only path switch (False).
+    @pytest.mark.parametrize("library,variants,kind,rule,expected", [
         ("44-3", 4, MatchKind.STANDARD, True, True),
         ("44-3", 4, MatchKind.EXACT, True, True),
         ("44-1", 8, MatchKind.STANDARD, True, False),
@@ -160,7 +152,7 @@ class TestFilterRule:
         ("44-3", 4, MatchKind.EXTENDED, True, False),
         ("44-3", 4, MatchKind.STANDARD, False, False),
     ])
-    def test_rule_on_c3540s(self, library, variants, kind, cache, expected,
+    def test_rule_on_c3540s(self, library, variants, kind, rule, expected,
                             subjects, lib441_patterns, lib443_patterns):
         patterns = {
             "44-3": lib443_patterns,
@@ -171,7 +163,7 @@ class TestFilterRule:
 
             patterns = PatternSet(resolve_library(library),
                                   max_variants=variants)
-        matcher = Matcher(patterns, kind, cache=cache)
+        matcher = Matcher(patterns, kind, cut_filter=None if rule else False)
         matcher.attach(subjects["C3540s"])
         assert matcher.filter_on is expected
 
@@ -254,13 +246,18 @@ class TestPatternSideBuiltOnce:
         return counts
 
     def test_construction_builds_neither(self, builds):
+        result = map_dag(fuzz_subject(8), PatternSet(lib2_like(), 8))
+        mapped = dict(builds)
         patterns = PatternSet(lib2_like(), max_variants=8)
         Matcher(patterns)
-        assert builds == {"trie": 0, "npn_table": 0}
-        # the reference path never needs the trie
-        reference = Matcher(patterns, cache=False)
-        compute_labels(fuzz_subject(8), patterns, matcher=reference)
-        assert builds == {"trie": 0, "npn_table": 0}
+        assert builds == mapped
+        # C006's independent relabeling needs neither
+        report = certify_mapping(result, patterns=patterns)
+        assert not report.has_errors, report.format()
+        assert report.meta["relabel_steps"] > 0
+        assert builds == mapped
+        assert "trie" not in vars(patterns)
+        assert "npn_table" not in vars(patterns)
 
     def test_two_matchers_share_one_build(self, builds, subjects):
         patterns = PatternSet(lib2_like(), max_variants=8)
