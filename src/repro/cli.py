@@ -82,7 +82,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
               f"{int(counters['signature_misses'])} misses)")
         if counters["cut_filter_nodes"]:
             print(f"filter    : cut filter on at "
-                  f"{int(counters['cut_filter_nodes'])} nodes, "
+                  f"{int(counters['cut_filter_nodes'])} nodes "
+                  f"({int(counters['cut_cone_hits'])} from the cone memo), "
                   f"{int(counters['cut_patterns_pruned'])} candidate "
                   f"patterns pruned")
         else:

@@ -131,11 +131,6 @@ class Match:
 #: docs/PERFORMANCE.md, "Cut filter").
 CUT_FILTER_MIN_GROUPS = 256
 
-#: ... and only on subjects with at least this many gates: a small
-#: subject's few signature misses do not repay the NPN-table build and
-#: the filter's per-matcher set-up.
-CUT_FILTER_MIN_GATES = 64
-
 
 class Matcher:
     """Enumerates matches of a pattern set on a subject graph.
@@ -159,16 +154,18 @@ class Matcher:
     embed into the subject cone's unfolding (structural filter, which
     sees the NAND2/INV bracketing the functional one cannot).  Both are *sound* for STANDARD/EXACT matches
     (a pruned pattern provably has no match) and never reorder, so the
-    match stream is byte-identical with or without the filter.
+    match stream is byte-identical with or without the filter.  Where a
+    node's cut set is complete, the filter's answer depends only on the
+    node's depth-capped cone, so it is memoized by that cone's signature
+    for the matcher's lifetime.
 
-    :meth:`attach` decides per subject whether the filter runs: for
-    non-EXTENDED kinds, when the pattern trie has at least
-    :data:`CUT_FILTER_MIN_GROUPS` groups and the subject at least
-    :data:`CUT_FILTER_MIN_GATES` gates.  ``cut_filter=True``/``False``
-    overrides that rule (differential checks and benchmarks compare the
-    two); forcing it on for EXTENDED matches, which are not injective,
-    raises :class:`~repro.errors.MappingError`.  The filter is the
-    matcher's only switch between code paths.
+    The filter runs for non-EXTENDED kinds when the pattern trie has at
+    least :data:`CUT_FILTER_MIN_GROUPS` groups, on every subject.
+    ``cut_filter=True``/``False`` overrides that rule (differential
+    checks and benchmarks compare the two); forcing it on for EXTENDED
+    matches, which are not injective, raises
+    :class:`~repro.errors.MappingError`.  The filter is the matcher's
+    only switch between code paths.
 
     Pattern-side facts (fanouts, use cap, trie, NPN table) belong to the
     :class:`PatternSet`; a matcher holds per-subject state and its memos.
@@ -223,9 +220,9 @@ class Matcher:
     def attach(self, subject: SubjectGraph) -> None:
         """Precompute subject-side data (fanout-use counts, depths).
 
-        Also decides whether the cut filter runs on this subject (see
-        the class docstring); its cuts and cone shapes are computed
-        lazily, at the signature misses that consult them.
+        Also applies the cut-filter rule (see the class docstring); the
+        filter's cuts and cone shapes are computed lazily, at the
+        signature misses that consult them.
         """
         self._uses = subject.use_counts()
         # Clamped-to-1 view for area-flow denominators: hoisted here so
@@ -250,24 +247,22 @@ class Matcher:
         self._signatures = (
             offered[1] if offered is not None and offered[0] is subject else None
         )
-        self.filter_on = self._wants_filter(subject)
+        self.filter_on = self._wants_filter()
         if self.filter_on:
             table = self.patterns.npn_table
             if not self._shape_keys:
                 self._start_filter()
             self._cuts = LazyCuts(table.k, table.depth_cap)
-            self._allowed_cache: Dict[int, Optional[List[bool]]] = {}
             # (uid, depth) -> interned cone-unfolding shape id
             self._cone_shapes: Dict[Tuple[int, int], int] = {}
 
-    def _wants_filter(self, subject: SubjectGraph) -> bool:
+    def _wants_filter(self) -> bool:
         """The cut-filter rule (see the class docstring)."""
         if self._force_filter is not None:
             return self._force_filter
         return (
             self.kind is not MatchKind.EXTENDED
             and len(self.patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
-            and subject.n_gates >= CUT_FILTER_MIN_GATES
         )
 
     # ------------------------------------------------------------------
@@ -286,15 +281,19 @@ class Matcher:
         self._embed_memo: Dict[Tuple[int, int], bool] = {}
         # Chain verdicts are a function of the node's cut classes
         # alone, and the filtered pattern list a function of
-        # (verdict list, cone shape, root kind) — both memoized so
-        # structurally repetitive circuits pay the filter once per
-        # distinct cone.
+        # (verdict list, cone shape, root kind) — both memoized, so
+        # distinct cones with equal answers share one kept list.
         self._allowed_by_classes: Dict[
             FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
         ] = {}
         self._no_info: List[bool] = [True] * len(table.chain_entries)
         self._filtered_memo: Dict[
             Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
+        ] = {}
+        # depth-cap cone signature -> (kept patterns, number pruned),
+        # so a repeated cone pays its cuts once (see _filtered_patterns).
+        self._cone_memo: Dict[
+            Tuple[int, ...], Tuple[List[PatternGraph], int]
         ] = {}
 
     def _cone_shape(self, node: SubjectNode, depth: int) -> int:
@@ -359,18 +358,11 @@ class Matcher:
 
         Indexed by dense chain id; ``None`` means "no information" (the
         cut set was truncated at or below this node, so every pattern
-        must be tried).  Cached per subject uid.
+        must be tried).
         """
-        cache = self._allowed_cache
-        if snode.uid in cache:
-            return cache[snode.uid]
-        stats = self.stats
         cuts, tainted = self._cuts.at(snode)
         if tainted:
-            stats.cut_tainted_nodes += 1
-            cache[snode.uid] = None
             return None
-        stats.cut_filter_nodes += 1
         # Chain class -> minimum derivation depth over the node's cuts.
         # A cut function outside the chain-orbit map is in no chain's
         # NPN class, so it cannot satisfy any chain entry.
@@ -403,7 +395,6 @@ class Matcher:
                         break
                 allowed.append(ok)
             self._allowed_by_classes[class_key] = allowed
-        cache[snode.uid] = allowed
         return allowed
 
     def _filtered_patterns(self, snode: SubjectNode) -> List[PatternGraph]:
@@ -413,19 +404,39 @@ class Matcher:
         patterns whose truncation chain no cut of ``snode`` can satisfy,
         and patterns whose tree shape cannot embed into the node's cone
         unfolding, are dropped.  Dropping never reorders, so both feed
-        the identity dedup the same match stream.  The filtered list is
-        memoized per (chain verdicts, cone shape, root kind).
+        the identity dedup the same match stream.
+
+        An untainted node's cuts and cone unfolding are functions of its
+        depth-cap cone, so its answer is memoized by that cone's
+        signature, across subjects.  A tainted answer is not stored: a
+        node keeps the cut set of the largest budget it was asked for,
+        so whether it is tainted depends on the order of the queries.
+        Below that, the filtered list is memoized per (chain verdicts,
+        cone shape, root kind).
         """
         root_patterns = self.patterns.for_root(snode.kind)
         if not self.filter_on:
             return root_patterns
+        stats = self.stats
+        depth_cap = self._cuts.max_depth
+        cone = cone_signature(snode, depth_cap)[0]
+        hit = self._cone_memo.get(cone)
+        if hit is not None:
+            stats.cut_cone_hits += 1
+            stats.cut_filter_nodes += 1
+            stats.cut_patterns_pruned += hit[1]
+            return hit[0]
         allowed = self._allowed_chains(snode)
         if allowed is None:
             # Tainted cut set: no functional information, but the shape
             # filter is cut-independent and still sound.
-            allowed = self._no_info
-        sid = self._cone_shape(snode, self._cuts.max_depth)
-        memo_key = (id(allowed), sid, snode.kind)
+            stats.cut_tainted_nodes += 1
+            verdicts = self._no_info
+        else:
+            stats.cut_filter_nodes += 1
+            verdicts = allowed
+        sid = self._cone_shape(snode, depth_cap)
+        memo_key = (id(verdicts), sid, snode.kind)
         hit = self._filtered_memo.get(memo_key)
         if hit is None:
             table = self.patterns.npn_table
@@ -436,11 +447,13 @@ class Matcher:
                 for pattern, cid, psid in zip(
                     root_patterns, chain_ids, shape_ids
                 )
-                if allowed[cid] and self._embed(psid, sid)
+                if verdicts[cid] and self._embed(psid, sid)
             ]
             hit = (kept, len(root_patterns) - len(kept))
             self._filtered_memo[memo_key] = hit
-        self.stats.cut_patterns_pruned += hit[1]
+        if allowed is not None:
+            self._cone_memo[cone] = hit
+        stats.cut_patterns_pruned += hit[1]
         return hit[0]
 
     def _feasible(self, pnode: PatternNode, snode: SubjectNode) -> bool:

@@ -40,11 +40,13 @@ pattern set**:
   interned shape id of every pattern in ``for_root`` order.  The
   pattern-shape id space is frozen; a matcher extends a copy of it.
 
-Building the table costs one orbit walk per chain class plus one lookup
-per pattern level — about 0.12 s for the 876-pattern 44-3 set.  It is
-built in memory only, once per pattern set (:attr:`PatternSet.npn_table`,
-at the first attach that turns the filter on), always with ``k`` =
-:data:`DEFAULT_K` and ``depth_cap`` = :data:`DEFAULT_DEPTH_CAP`.
+Building the table costs one orbit walk per chain class plus one chain
+and one shape per binding group of the pattern trie (group members are
+isomorphic) — about 50 ms for the 876 patterns in 712 groups of 44-3 at
+four variants.  It is built in memory only, once per pattern set
+(:attr:`PatternSet.npn_table`, at the first attach that turns the filter
+on), always with ``k`` = :data:`DEFAULT_K` and ``depth_cap`` =
+:data:`DEFAULT_DEPTH_CAP`.
 """
 
 from __future__ import annotations
@@ -116,9 +118,7 @@ def pattern_chain(
     while frontier:
         nxt: List[PatternNode] = []
         for node in frontier:
-            if node.is_leaf:
-                continue
-            for fanin in node.fanins:
+            for fanin in node.fanins:  # a leaf has none
                 if fanin.uid not in dist:
                     dist[fanin.uid] = dist[node.uid] + 1
                     nxt.append(fanin)
@@ -133,7 +133,7 @@ def pattern_chain(
         d = dist.get(node.uid, top + 1)
         if d > top:
             continue
-        if node.is_leaf:
+        if not node.fanins:  # a leaf
             for t in range(d, top + 1):
                 frontiers[t].append(node)
         else:
@@ -184,7 +184,7 @@ def pattern_shape(
 
 
 def _truncated_shape(node: PatternNode, budget: int) -> Shape:
-    if node.is_leaf or budget == 0:
+    if not node.fanins or budget == 0:  # a leaf, or the cap
         return _WILDCARD
     if node.kind is NodeType.INV:
         return ("I", _truncated_shape(node.fanins[0], budget - 1))
@@ -274,27 +274,42 @@ def _intern_shape(
 
 
 def build_npn_table(patterns: PatternSet) -> NPNTable:
-    """Build the NPN table of one pattern set (aligned with its order)."""
+    """Build the NPN table of one pattern set (aligned with its order).
+
+    Chains and shapes are computed once per binding group of the
+    pattern trie: a group's members are isomorphic, so they have equal
+    frontiers, NPN classes and truncated shapes.  Groups are in
+    first-appearance order, so chain and shape ids are numbered as a
+    walk over every pattern would number them.
+    """
     orbits: OrbitMap = {}
-    chains = {id(p): pattern_chain(p, orbits=orbits) for p in patterns.patterns}
-    shapes = {id(p): pattern_shape(p) for p in patterns.patterns}
     chain_id: Dict[Chain, int] = {}
-    for chain in chains.values():
-        chain_id.setdefault(chain, len(chain_id))
     keys: List[ShapeKey] = [None, None]  # the two atoms
     intern: Dict[Tuple[int, ...], int] = {}
-    shape_id = {pid: _intern_shape(intern, keys, s) for pid, s in shapes.items()}
+    # id(pattern) -> (chain, chain id, shape, shape id)
+    facts: Dict[int, Tuple[Chain, int, Shape, int]] = {}
+    for group in patterns.trie.groups:
+        chain = pattern_chain(group.rep, orbits=orbits)
+        shape = pattern_shape(group.rep)
+        entry = (
+            chain,
+            chain_id.setdefault(chain, len(chain_id)),
+            shape,
+            _intern_shape(intern, keys, shape),
+        )
+        for member in group.members:
+            facts[id(member)] = entry
     by_kind = patterns.by_root_kind.items()
     return NPNTable(
-        chains=tuple(chains.values()),
-        shapes=tuple(shapes.values()),
+        chains=tuple(facts[id(p)][0] for p in patterns.patterns),
+        shapes=tuple(facts[id(p)][2] for p in patterns.patterns),
         chain_orbits=orbits,
         chain_entries=tuple(chain_id),
         chain_ids_by_kind={
-            kind: tuple(chain_id[chains[id(p)]] for p in ps) for kind, ps in by_kind
+            kind: tuple(facts[id(p)][1] for p in ps) for kind, ps in by_kind
         },
         shape_keys=tuple(keys),
         shape_ids_by_kind={
-            kind: tuple(shape_id[id(p)] for p in ps) for kind, ps in by_kind
+            kind: tuple(facts[id(p)][3] for p in ps) for kind, ps in by_kind
         },
     )

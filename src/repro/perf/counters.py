@@ -44,7 +44,11 @@ class MatchStats:
         groups_enumerated: (pattern group, subject node) enumerations run.
         matches_replayed: matches materialised via signature replay.
         cut_filter_nodes: subject nodes whose pattern loop ran under the
-            matcher's cut filter (zero when the filter was off).
+            matcher's cut filter (zero when the filter was off), cone
+            memo hits included.
+        cut_cone_hits: of those, nodes answered from the filter's cone
+            memo (an equal depth-capped cone seen before) without
+            computing cuts.
         cut_patterns_pruned: patterns skipped by that filter before any
             binding enumeration.
         cut_tainted_nodes: nodes where the cut enumerator hit its per-node
@@ -64,6 +68,7 @@ class MatchStats:
     groups_enumerated: int = 0
     matches_replayed: int = 0
     cut_filter_nodes: int = 0
+    cut_cone_hits: int = 0
     cut_patterns_pruned: int = 0
     cut_tainted_nodes: int = 0
     eco_nodes_reused: int = 0

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
-from repro.network.subject import NodeType
 
 __all__ = ["PatternGroup", "PatternTrie"]
 
@@ -59,9 +58,14 @@ class PatternGroup:
         }
 
 
+#: Serialization tokens of :func:`_ordered_serial`; a back-reference to
+#: the node first visited at position ``i`` is the token ``-1 - i``.
+_LEAF, _INV, _NAND2, _NAND2_SWAP_SAFE = 0, 1, 2, 3
+
+
 def _ordered_serial(
     pattern: PatternGraph,
-) -> Tuple[Tuple[Tuple, ...], List[PatternNode]]:
+) -> Tuple[Tuple[int, ...], List[PatternNode]]:
     """(token tuple, first-visit node order) of a pattern's exact structure.
 
     The serialization is a prefix code (INV: one child, NAND2: two,
@@ -70,7 +74,7 @@ def _ordered_serial(
     — the correspondence used to translate bindings between group
     members.
     """
-    tokens: List[Tuple] = []
+    tokens: List[int] = []
     order: List[PatternNode] = []
     index: Dict[int, int] = {}
     swap_safe = pattern.swap_safe
@@ -79,50 +83,24 @@ def _ordered_serial(
     stack: List[PatternNode] = [pattern.root]
     while stack:
         node = stack.pop()
-        key = id(node)
-        local = index.get(key)
+        uid = node.uid
+        local = index.get(uid)
         if local is not None:
-            tokens.append(("ref", local))
+            tokens.append(-1 - local)
             continue
-        index[key] = len(order)
+        index[uid] = len(order)
         order.append(node)
-        kind = node.kind
-        if kind is NodeType.PI:
-            tokens.append(("L",))
-        elif kind is NodeType.INV:
-            tokens.append(("I",))
-            stack.append(node.fanins[0])
+        fanins = node.fanins
+        if not fanins:
+            tokens.append(_LEAF)
+        elif len(fanins) == 1:
+            tokens.append(_INV)
+            stack.append(fanins[0])
         else:
-            tokens.append(("N", node.uid in swap_safe))
-            stack.append(node.fanins[1])
-            stack.append(node.fanins[0])
+            tokens.append(_NAND2_SWAP_SAFE if uid in swap_safe else _NAND2)
+            stack.append(fanins[1])
+            stack.append(fanins[0])
     return tuple(tokens), order
-
-
-def _shape_key(node: PatternNode, memo: Dict[int, object]) -> object:
-    """Canonical *unordered* shape of a pattern subtree (pins erased).
-
-    This is exactly the information structural feasibility depends on:
-    the check recurses over kinds trying both child orders and terminates
-    at leaves unconditionally, so it is invariant under child order, leaf
-    identity and sharing.
-    """
-    key = memo.get(id(node))
-    if key is not None:
-        return key
-    kind = node.kind
-    if kind is NodeType.PI:
-        key = "L"
-    elif kind is NodeType.INV:
-        key = ("I", _shape_key(node.fanins[0], memo))
-    else:
-        a = _shape_key(node.fanins[0], memo)
-        b = _shape_key(node.fanins[1], memo)
-        if repr(a) > repr(b):
-            a, b = b, a
-        key = ("N", a, b)
-    memo[id(node)] = key
-    return key
 
 
 class PatternTrie:
@@ -141,7 +119,10 @@ class PatternTrie:
     def __init__(self, patterns: PatternSet):
         self.groups: List[PatternGroup] = []
         self.group_of: Dict[int, PatternGroup] = {}
-        by_serial: Dict[Tuple, Tuple[PatternGroup, List[PatternNode]]] = {}
+        by_serial: Dict[
+            Tuple[object, ...], Tuple[PatternGroup, List[PatternNode]]
+        ] = {}
+        serial: Tuple[object, ...]
         for pattern in patterns.patterns:
             serial, order = _ordered_serial(pattern)
             if len(order) != len(pattern.nodes):
@@ -159,17 +140,27 @@ class PatternTrie:
                 group.add(pattern, rep_order, order)
             self.group_of[id(pattern)] = group
 
-        intern: Dict[object, int] = {}
-        self.shape_of: Dict[int, int] = {}
-        memo: Dict[int, object] = {}
+        # Bottom-up over each pattern's topological node list: a node's
+        # shape key is its children's shape ids, NAND2 children sorted.
+        # The arity is the kind (PI 0, INV 1, NAND2 2), so equal keys are
+        # equal unordered shapes.
+        intern: Dict[Tuple[int, ...], int] = {}
+        shape_of: Dict[int, int] = {}
         for pattern in patterns.patterns:
             for node in pattern.nodes:
-                key = _shape_key(node, memo)
+                fanins = node.fanins
+                key: Tuple[int, ...] = ()
+                if len(fanins) == 1:
+                    key = (shape_of[id(fanins[0])],)
+                elif fanins:
+                    a = shape_of[id(fanins[0])]
+                    b = shape_of[id(fanins[1])]
+                    key = (a, b) if a <= b else (b, a)
                 sid = intern.get(key)
                 if sid is None:
-                    sid = len(intern)
-                    intern[key] = sid
-                self.shape_of[id(node)] = sid
+                    sid = intern[key] = len(intern)
+                shape_of[id(node)] = sid
+        self.shape_of = shape_of
         self.n_shapes = len(intern)
 
     def __repr__(self) -> str:

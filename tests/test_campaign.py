@@ -399,9 +399,8 @@ class TestCli:
 class TestEcoMode:
     """The eco campaign mode: incremental remap, byte-checked in-worker."""
 
-    #: Parametrization label -> (library, variants, nodes): small mini
-    #: circuits keep the matcher's cut filter off; 44-3 circuits of at
-    #: least CUT_FILTER_MIN_GATES gates turn it on.
+    #: Parametrization label -> (library, variants, nodes): mini's few
+    #: trie groups keep the matcher's cut filter off; 44-3 turns it on.
     SIDES = {"structural": ("mini", 8, 14), "cuts": ("44-3", 4, 30)}
 
     def _eco_jobs(self, engine="structural"):
@@ -414,8 +413,14 @@ class TestEcoMode:
 
     @pytest.mark.parametrize("engine", ["structural", "cuts"])
     def test_rows_describe_the_edited_circuit(self, engine):
-        from repro.core.match import CUT_FILTER_MIN_GATES
+        from repro.core.match import CUT_FILTER_MIN_GROUPS
+        from repro.library.patterns import PatternSet
+        from repro.perf.parallel import resolve_library
 
+        library, variants, _ = self.SIDES[engine]
+        patterns = PatternSet(resolve_library(library), max_variants=variants)
+        rich = len(patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
+        assert rich is (engine == "cuts")
         out = run_mapping_campaign(self._eco_jobs(engine), workers=1)
         assert out.ok, [f.error for f in out.failures]
         for row in out.rows:
@@ -423,8 +428,6 @@ class TestEcoMode:
             assert "__eco__" in row.circuit  # name encodes the edit script
             assert row.verified  # simulated against the *edited* network
             assert row.delay > 0 and row.cover
-            big = row.subject_gates >= CUT_FILTER_MIN_GATES
-            assert big is (engine == "cuts")
 
     def test_warm_and_cold_rows_byte_identical(self):
         jobs = self._eco_jobs()

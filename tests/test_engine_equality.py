@@ -17,12 +17,8 @@ from repro.bench.suite import TABLE23_NAMES, build_subject
 from repro.check import certify_mapping
 from repro.core.dag_mapper import map_dag
 from repro.core.labeling import compute_labels
-from repro.core.match import (
-    CUT_FILTER_MIN_GATES,
-    CUT_FILTER_MIN_GROUPS,
-    MatchKind,
-    Matcher,
-)
+from repro.core.cuts import LazyCuts
+from repro.core.match import CUT_FILTER_MIN_GROUPS, MatchKind, Matcher
 from repro.core.tree_mapper import map_tree
 from repro.errors import MappingError
 from repro.fuzz.generator import FuzzConfig, random_dag
@@ -30,6 +26,7 @@ from repro.library.builtin import lib2_like, lib44_3
 from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.mapped_io import dumps_mapped_blif
+from repro.perf.signature import cone_signature
 
 
 @pytest.fixture(scope="module")
@@ -174,12 +171,19 @@ class TestFilterRule:
         for patterns in (lib441_patterns, lib2_patterns):
             assert len(patterns.trie.groups) < CUT_FILTER_MIN_GROUPS
 
-    def test_off_below_the_gate_threshold(self, lib443_patterns):
+    def test_on_for_a_small_443_subject(self, lib441_patterns,
+                                        lib443_patterns, lib2_patterns):
         subject = fuzz_subject(8)
-        assert subject.n_gates < CUT_FILTER_MIN_GATES
-        matcher = Matcher(lib443_patterns)
-        matcher.attach(subject)
-        assert not matcher.filter_on
+        for patterns, kind, expected in (
+            (lib443_patterns, MatchKind.STANDARD, True),
+            (lib443_patterns, MatchKind.EXACT, True),
+            (lib443_patterns, MatchKind.EXTENDED, False),
+            (lib441_patterns, MatchKind.STANDARD, False),
+            (lib2_patterns, MatchKind.STANDARD, False),
+        ):
+            matcher = Matcher(patterns, kind)
+            matcher.attach(subject)
+            assert matcher.filter_on is expected, (patterns, kind)
 
     def test_forcing_overrides_the_rule(self, subjects, lib441_patterns,
                                         lib443_patterns):
@@ -190,23 +194,59 @@ class TestFilterRule:
         off.attach(subjects["C3540s"])
         assert not off.filter_on
 
-    def test_shared_matcher_alternating_sizes(self, lib443_patterns):
-        """One matcher switching the filter per subject == fresh ones."""
-        small, large = fuzz_subject(8), fuzz_subject(40)
-        assert small.n_gates < CUT_FILTER_MIN_GATES <= large.n_gates
-        shared = Matcher(lib443_patterns)
-        for subject in (small, large, small, large):
-            got = compute_labels(subject, lib443_patterns, matcher=shared)
-            assert shared.filter_on is (subject is large)
-            own = Matcher(lib443_patterns)
-            fresh = compute_labels(subject, lib443_patterns, matcher=own)
+    @pytest.mark.parametrize("kind", [MatchKind.STANDARD, MatchKind.EXACT])
+    def test_shared_matcher_across_seeded_subjects(self, kind,
+                                                   lib443_patterns):
+        """One filtering matcher across many subjects, its cone memo
+        carried from each to the next, lists every node's matches as a
+        fresh matcher and an unfiltered one do."""
+        shared = Matcher(lib443_patterns, kind)
+        memo = None
+        for seed in range(20):
+            subject = fuzz_subject(6 + seed * 34 // 19, seed=seed)
+            fresh = Matcher(lib443_patterns, kind)
+            off = Matcher(lib443_patterns, kind, cut_filter=False)
+            for matcher in (shared, fresh, off):
+                matcher.attach(subject)
+            assert shared.filter_on and fresh.filter_on and not off.filter_on
+            memo = memo if memo is not None else shared._cone_memo
+            assert shared._cone_memo is memo  # survives attach
             for node in subject.topological():
-                assert [m.identity() for m in shared.matches_at(node)] == [
-                    m.identity() for m in own.matches_at(node)
-                ]
-            assert got.arrival == fresh.arrival
-        assert shared.stats.cut_filter_nodes > 0
-        assert shared.stats.signature_hits > 0
+                want = [m.identity() for m in off.matches_at(node)]
+                assert [m.identity() for m in shared.matches_at(node)] == want
+                assert [m.identity() for m in fresh.matches_at(node)] == want
+        assert shared.stats.cut_cone_hits > 0
+        assert shared.stats.cut_filter_nodes > shared.stats.cut_cone_hits
+
+    def test_tainted_answers_are_not_memoized(self, lib443_patterns):
+        """A cut cap of one taints every node above a merge of two
+        non-trivial cut sets: the memo keeps only untainted answers, and
+        each equals an uncapped matcher's answer for the same cone."""
+        subject = fuzz_subject(30)
+        capped = Matcher(lib443_patterns)
+        capped.attach(subject)
+        table = lib443_patterns.npn_table
+        capped._cuts = LazyCuts(table.k, table.depth_cap, max_cuts=1)
+        for node in subject.topological():
+            capped.matches_at(node)
+        stats = capped.stats
+        assert stats.cut_tainted_nodes > 0
+        assert stats.cut_filter_nodes > stats.cut_cone_hits
+        assert len(capped._cone_memo) <= (
+            stats.cut_filter_nodes - stats.cut_cone_hits
+        )
+        uncapped = Matcher(lib443_patterns)
+        uncapped.attach(subject)
+        checked = set()
+        for node in subject.topological():
+            if node.is_pi:
+                continue
+            key = cone_signature(node, table.depth_cap)[0]
+            if key in capped._cone_memo:
+                kept = capped._cone_memo[key][0]
+                assert kept == uncapped._filtered_patterns(node)
+                checked.add(key)
+        assert len(checked) == len(capped._cone_memo) > 0
 
 
 def trie_state(trie):

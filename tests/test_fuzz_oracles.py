@@ -121,16 +121,18 @@ class TestEngineAgreement:
         assert "F009" not in _codes(report), report.format()
 
     def test_compares_forced_states_where_the_rule_is_on(self):
-        # 44-3 and a 64+ gate subject: the default run filters, so F009
-        # must still map once with the filter forced off
+        # 44-3: the default run filters, so F009 must still map once
+        # with the filter forced off
         from repro.check.diagnostics import CheckReport
-        from repro.core.match import MatchKind
+        from repro.core.match import Matcher, MatchKind
         from repro.fuzz.oracles import _check_filter_agreement
 
         config = OracleConfig(library="44-3", max_variants=4)
         subject = decompose_network(random_dag(FuzzConfig(n_nodes=30, seed=2)))
-        assert subject.n_gates >= 64
         patterns = config.build_patterns()
+        default = Matcher(patterns)
+        default.attach(subject)
+        assert default.filter_on
         for inject, codes in ((None, []), ("engine", ["F009", "F009"])):
             report = CheckReport()
             _check_filter_agreement(report, subject, patterns,

@@ -29,14 +29,25 @@ from repro.network.subject import SubjectGraph
 
 
 def brute_force_matches(pattern, subject, root, kind):
-    """All valid bindings by exhaustive enumeration (exponential)."""
-    pattern_nodes = pattern.nodes
-    candidates = subject.nodes
+    """All valid bindings by exhaustive enumeration (exponential).
+
+    The pattern root binds ``root``, a leaf any subject node, and every
+    other pattern node any subject node with its fanin count:
+    ``verify_match`` rejects every other binding (C103), so this finds
+    the same set as trying all |V_s|^|V_p| assignments.
+    """
+    by_fanins = {}
+    for snode in subject.nodes:
+        by_fanins.setdefault(len(snode.fanins), []).append(snode)
+    choices = [
+        [root] if pnode is pattern.root
+        else subject.nodes if pnode.is_leaf
+        else by_fanins.get(len(pnode.fanins), [])
+        for pnode in pattern.nodes
+    ]
     found = set()
-    for combo in product(candidates, repeat=len(pattern_nodes)):
-        binding = {p.uid: s for p, s in zip(pattern_nodes, combo)}
-        if binding[pattern.root.uid] is not root:
-            continue
+    for combo in product(*choices):
+        binding = {p.uid: s for p, s in zip(pattern.nodes, combo)}
         match = Match(pattern, root, binding)
         if not verify_match(match, subject, kind):
             found.add(match.identity())
