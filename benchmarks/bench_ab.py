@@ -84,7 +84,7 @@ def _mapped(result: Any) -> Tuple[float, float, str]:
 
 
 def _lib44_3_patterns() -> PatternSet:
-    # A fresh pattern set per run: its NPN table is not built yet, so a
+    # A fresh pattern set per run: its trie is not built yet, so a
     # side that needs it pays the build.
     return PatternSet(lib44_3(), max_variants=4)
 
@@ -181,7 +181,8 @@ def _bitsim(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
 
 def _cut_filter(items: Sequence[str]) -> Iterator[Tuple[Any, Side, Side]]:
     # The uncached matcher, where no signature replay masks the filter;
-    # the first filtered run pays the NPN-table build.
+    # the first filtered run pays the trie build (the shape filter's
+    # pattern shapes live in the trie).
     patterns = _lib44_3_patterns()
     for name in items:
         subject = build_subject(name)[1]
@@ -285,7 +286,7 @@ CASES: Dict[str, Case] = {case.name: case for case in (
          TABLE23_NAMES, _FAST_CIRCUITS, ("C2670s",), gate=10.0,
          worst_item=True),
     Case("cut_filter", "UncachedMatcher, cut filter forced off, 44-3 @ 4",
-         "cut filter forced on, NPN-table build included", _cut_filter,
+         "cut filter forced on, trie build included", _cut_filter,
          TABLE23_NAMES, _FAST_CIRCUITS, ("C2670s",), gate=2.0,
          outputs=_mapped),
     Case("eco", "map_dag of the edited circuit from scratch, 44-3 @ 4",

@@ -6,7 +6,7 @@ output arrival with the run's.  A match the production matcher
 than the optimum, and a relabeling that ran the same enumeration would
 miss the same match.  So this enumerator is written from the paper's
 Definitions 1-3 alone and shares nothing with the matcher's machinery:
-no pattern trie, NPN table, cut filter, cone signatures, feasibility
+no pattern trie, cut filter, cone signatures, feasibility
 memo or swap-safe pruning.  Of a pattern it reads the gate, root, nodes
 and pin classes, and it keeps no memo from one
 :meth:`ReferenceMatcher.matches_at` call to the next.

@@ -83,7 +83,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         if counters["cut_filter_nodes"]:
             print(f"filter    : cut filter on at "
                   f"{int(counters['cut_filter_nodes'])} nodes "
-                  f"({int(counters['cut_cone_hits'])} from the cone memo), "
+                  f"({int(counters['cut_cone_hits'])} from the shape memo), "
                   f"{int(counters['cut_patterns_pruned'])} candidate "
                   f"patterns pruned")
         else:

@@ -27,16 +27,14 @@ paper's footnote 2.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.cuts import LazyCuts, cut_function
-from repro.errors import MappingError
 from repro.library.gate import Gate
-from repro.library.npn_table import ShapeKey, intern_shape_key
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
 from repro.network.subject import NodeType, SubjectGraph, SubjectNode
 from repro.perf.counters import MatchStats
 from repro.perf.signature import Signature, cone_signature
+from repro.perf.trie import SHAPE_DEPTH_CAP, ShapeKey, intern_shape_key
 
 __all__ = [
     "MatchKind",
@@ -126,8 +124,9 @@ class Match:
 
 
 #: The cut filter runs only for pattern sets with at least this many
-#: trie binding groups: below it the per-node cut and NPN work costs more
-#: than the binding enumeration it saves (calibration:
+#: trie binding groups.  Its shape work breaks even with the binding
+#: enumeration it saves at about 31 groups, and every value from 32 to
+#: 264 picks the same builtin libraries (calibration:
 #: docs/PERFORMANCE.md, "Cut filter").
 CUT_FILTER_MIN_GROUPS = 256
 
@@ -145,29 +144,24 @@ class Matcher:
     which shares none of this machinery.
 
     On rich libraries a **cut filter** runs in front of the binding
-    enumerator at every signature miss: two sound pre-filters of
-    :mod:`repro.library.npn_table` drop candidate patterns — k-feasible
-    cuts of the subject (:mod:`repro.core.cuts`, computed lazily below
-    the queried node) are classified through the table's chain-orbit
-    map and compared against each pattern's truncation chain
-    (functional filter), and the pattern's depth-capped tree shape must
-    embed into the subject cone's unfolding (structural filter, which
-    sees the NAND2/INV bracketing the functional one cannot).  Both are *sound* for STANDARD/EXACT matches
-    (a pruned pattern provably has no match) and never reorder, so the
-    match stream is byte-identical with or without the filter.  Where a
-    node's cut set is complete, the filter's answer depends only on the
-    node's depth-capped cone, so it is memoized by that cone's signature
-    for the matcher's lifetime.
+    enumerator at every signature miss: a pattern whose depth-capped
+    tree shape (the trie's capped shapes) cannot embed into the subject
+    cone's depth-capped unfolding is dropped.  That test is
+    :meth:`_feasible` cut off at :data:`~repro.perf.trie.SHAPE_DEPTH_CAP`
+    levels, and :meth:`_enumerate` checks :meth:`_feasible` at the root
+    of every pattern for every kind, so a dropped pattern would have
+    yielded no binding and the match stream is byte-identical with or
+    without the filter.  The answer depends only on the node's interned
+    cone shape, so it is memoized by that shape id for the matcher's
+    lifetime.
 
-    The filter runs for non-EXTENDED kinds when the pattern trie has at
-    least :data:`CUT_FILTER_MIN_GROUPS` groups, on every subject.
-    ``cut_filter=True``/``False`` overrides that rule (differential
-    checks and benchmarks compare the two); forcing it on for EXTENDED
-    matches, which are not injective, raises
-    :class:`~repro.errors.MappingError`.  The filter is the matcher's
-    only switch between code paths.
+    The filter runs when the pattern trie has at least
+    :data:`CUT_FILTER_MIN_GROUPS` groups, for every kind and on every
+    subject.  ``cut_filter=True``/``False`` overrides that rule
+    (differential checks and benchmarks compare the two).  The filter
+    is the matcher's only switch between code paths.
 
-    Pattern-side facts (fanouts, use cap, trie, NPN table) belong to the
+    Pattern-side facts (fanouts, use cap, trie) belong to the
     :class:`PatternSet`; a matcher holds per-subject state and its memos.
     """
 
@@ -177,21 +171,15 @@ class Matcher:
         kind: MatchKind = MatchKind.STANDARD,
         cut_filter: Optional[bool] = None,
     ):
-        if cut_filter and kind is MatchKind.EXTENDED:
-            raise MappingError(
-                "the cut filter supports standard/exact matches only: "
-                "extended matches are not injective, so the "
-                "truncation-chain filter is unsound for them"
-            )
         self.patterns = patterns
         self.kind = kind
         self.stats = MatchStats()
         self._force_filter = cut_filter
         #: whether the cut filter runs on the attached subject.
         self.filter_on = False
-        # This matcher's copy of the table's frozen pattern-shape id
+        # This matcher's copy of the trie's frozen capped-shape id
         # space, extended with its subjects' cone shapes; filled, with
-        # the filter memos, at the first attach that turns the filter on.
+        # the kept-list memo, at the first attach that turns the filter on.
         self._shape_keys: List[ShapeKey] = []
         # signature key -> list of (pattern, ((pattern uid, cone index), ...))
         # templates; subject-independent, so it survives attach().
@@ -221,8 +209,8 @@ class Matcher:
         """Precompute subject-side data (fanout-use counts, depths).
 
         Also applies the cut-filter rule (see the class docstring); the
-        filter's cuts and cone shapes are computed lazily, at the
-        signature misses that consult them.
+        filter's cone shapes are computed lazily, at the signature misses
+        that consult them.
         """
         self._uses = subject.use_counts()
         # Clamped-to-1 view for area-flow denominators: hoisted here so
@@ -249,52 +237,36 @@ class Matcher:
         )
         self.filter_on = self._wants_filter()
         if self.filter_on:
-            table = self.patterns.npn_table
             if not self._shape_keys:
                 self._start_filter()
-            self._cuts = LazyCuts(table.k, table.depth_cap)
             # (uid, depth) -> interned cone-unfolding shape id
             self._cone_shapes: Dict[Tuple[int, int], int] = {}
+            # (pattern shape id, cone shape id) -> embeds?  Valid across
+            # subjects, but scoped to one: with no other test in front
+            # of it, every root-kind pattern reaches it at each new cone
+            # shape, and a lifetime memo grows with every subject seen.
+            self._embed_memo: Dict[Tuple[int, int], bool] = {}
 
     def _wants_filter(self) -> bool:
         """The cut-filter rule (see the class docstring)."""
         if self._force_filter is not None:
             return self._force_filter
-        return (
-            self.kind is not MatchKind.EXTENDED
-            and len(self.patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
-        )
+        return len(self.patterns.trie.groups) >= CUT_FILTER_MIN_GROUPS
 
     # ------------------------------------------------------------------
     # Cut filter
     # ------------------------------------------------------------------
     def _start_filter(self) -> None:
-        """The filter's cross-subject memos and the private shape space."""
-        table = self.patterns.npn_table
+        """The private shape space and the kept-list memo, both lifelong."""
         # Pattern shapes and subject cone unfoldings share one id space,
-        # so the structural embed test memoizes on a pair of small ints;
-        # the cone shapes go into this copy, never into the table.
-        self._shape_keys = list(table.shape_keys)
+        # so the embed test memoizes on a pair of small ints; the cone
+        # shapes go into this copy, never into the trie.
+        self._shape_keys = list(self.patterns.trie.capped_keys)
         self._shape_intern = {
             key: sid for sid, key in enumerate(self._shape_keys) if key is not None
         }
-        self._embed_memo: Dict[Tuple[int, int], bool] = {}
-        # Chain verdicts are a function of the node's cut classes
-        # alone, and the filtered pattern list a function of
-        # (verdict list, cone shape, root kind) — both memoized, so
-        # distinct cones with equal answers share one kept list.
-        self._allowed_by_classes: Dict[
-            FrozenSet[Tuple[Tuple[int, int], int]], List[bool]
-        ] = {}
-        self._no_info: List[bool] = [True] * len(table.chain_entries)
-        self._filtered_memo: Dict[
-            Tuple[int, int, NodeType], Tuple[List[PatternGraph], int]
-        ] = {}
-        # depth-cap cone signature -> (kept patterns, number pruned),
-        # so a repeated cone pays its cuts once (see _filtered_patterns).
-        self._cone_memo: Dict[
-            Tuple[int, ...], Tuple[List[PatternGraph], int]
-        ] = {}
+        # cone shape id -> (kept patterns, number pruned)
+        self._filtered_memo: Dict[int, Tuple[List[PatternGraph], int]] = {}
 
     def _cone_shape(self, node: SubjectNode, depth: int) -> int:
         """Interned depth-``depth`` unfolding shape of the cone at ``node``.
@@ -318,14 +290,13 @@ class Matcher:
         return sid
 
     def _embed(self, pid: int, sid: int) -> bool:
-        """Can the truncated pattern shape embed into the subject cone?
+        """Can the capped pattern shape embed into the capped cone shape?
 
-        A necessary condition for any injective match (edges and kinds
-        are preserved, and a pattern inner node can never sit on a PI),
-        checked against the subject's depth-capped unfolding.  The "?"
-        wildcard (pattern leaves and the truncation boundary) embeds
-        anywhere; NAND children try both pairings.  Memoized across
-        subjects — shape ids are stable.
+        :meth:`_feasible` cut off at the cap, so a necessary condition
+        for a match of any kind (edges and kinds are preserved, and a
+        pattern inner node can never sit on a PI).  The "?" wildcard
+        (pattern leaves and the cap) embeds anywhere; NAND children try
+        both pairings.  Memoized per attached subject.
         """
         if pid == 0:  # wildcard
             return True
@@ -353,106 +324,34 @@ class Matcher:
         memo[memo_key] = result
         return result
 
-    def _allowed_chains(self, snode: SubjectNode) -> Optional[List[bool]]:
-        """Which truncation chains are satisfiable at ``snode``.
-
-        Indexed by dense chain id; ``None`` means "no information" (the
-        cut set was truncated at or below this node, so every pattern
-        must be tried).
-        """
-        cuts, tainted = self._cuts.at(snode)
-        if tainted:
-            return None
-        # Chain class -> minimum derivation depth over the node's cuts.
-        # A cut function outside the chain-orbit map is in no chain's
-        # NPN class, so it cannot satisfy any chain entry.
-        table = self.patterns.npn_table
-        orbits = table.chain_orbits
-        classes: Dict[Tuple[int, int], int] = {}
-        for cut, depth in cuts.items():
-            if len(cut) == 1 and next(iter(cut)) is snode:
-                continue  # trivial cut: carries no functional information
-            order = sorted(cut, key=lambda leaf: leaf.uid)
-            chain_class = orbits.get((len(order), cut_function(snode, order)))
-            if chain_class is None:
-                continue
-            old = classes.get(chain_class)
-            if old is None or depth < old:
-                classes[chain_class] = depth
-        # Chain verdicts depend on the classes alone: nodes sharing a
-        # class set share one verdict list (by identity, which also
-        # keys the filtered-pattern memo).
-        class_key = frozenset(classes.items())
-        allowed = self._allowed_by_classes.get(class_key)
-        if allowed is None:
-            allowed = []
-            for chain in table.chain_entries:
-                ok = True
-                for t, n, bits in chain:
-                    found = classes.get((n, bits))
-                    if found is None or found > t:
-                        ok = False
-                        break
-                allowed.append(ok)
-            self._allowed_by_classes[class_key] = allowed
-        return allowed
-
     def _filtered_patterns(self, snode: SubjectNode) -> List[PatternGraph]:
         """Patterns worth trying at ``snode``, in pattern-set order.
 
         Without the cut filter this is the full root-kind list; with it,
-        patterns whose truncation chain no cut of ``snode`` can satisfy,
-        and patterns whose tree shape cannot embed into the node's cone
-        unfolding, are dropped.  Dropping never reorders, so both feed
-        the identity dedup the same match stream.
-
-        An untainted node's cuts and cone unfolding are functions of its
-        depth-cap cone, so its answer is memoized by that cone's
-        signature, across subjects.  A tainted answer is not stored: a
-        node keeps the cut set of the largest budget it was asked for,
-        so whether it is tainted depends on the order of the queries.
-        Below that, the filtered list is memoized per (chain verdicts,
-        cone shape, root kind).
+        patterns whose capped tree shape cannot embed into the node's
+        capped cone unfolding are dropped.  Dropping never reorders, so
+        both feed the identity dedup the same match stream.  The answer
+        is a function of the cone shape id alone (which also fixes the
+        root kind), so it is memoized by that id across subjects.
         """
         root_patterns = self.patterns.for_root(snode.kind)
         if not self.filter_on:
             return root_patterns
         stats = self.stats
-        depth_cap = self._cuts.max_depth
-        cone = cone_signature(snode, depth_cap)[0]
-        hit = self._cone_memo.get(cone)
-        if hit is not None:
-            stats.cut_cone_hits += 1
-            stats.cut_filter_nodes += 1
-            stats.cut_patterns_pruned += hit[1]
-            return hit[0]
-        allowed = self._allowed_chains(snode)
-        if allowed is None:
-            # Tainted cut set: no functional information, but the shape
-            # filter is cut-independent and still sound.
-            stats.cut_tainted_nodes += 1
-            verdicts = self._no_info
-        else:
-            stats.cut_filter_nodes += 1
-            verdicts = allowed
-        sid = self._cone_shape(snode, depth_cap)
-        memo_key = (id(verdicts), sid, snode.kind)
-        hit = self._filtered_memo.get(memo_key)
+        stats.cut_filter_nodes += 1
+        sid = self._cone_shape(snode, SHAPE_DEPTH_CAP)
+        hit = self._filtered_memo.get(sid)
         if hit is None:
-            table = self.patterns.npn_table
-            chain_ids = table.chain_ids_by_kind[snode.kind]
-            shape_ids = table.shape_ids_by_kind[snode.kind]
+            shape_ids = self.patterns.trie.capped_ids[snode.kind]
             kept = [
                 pattern
-                for pattern, cid, psid in zip(
-                    root_patterns, chain_ids, shape_ids
-                )
-                if verdicts[cid] and self._embed(psid, sid)
+                for pattern, psid in zip(root_patterns, shape_ids)
+                if self._embed(psid, sid)
             ]
             hit = (kept, len(root_patterns) - len(kept))
-            self._filtered_memo[memo_key] = hit
-        if allowed is not None:
-            self._cone_memo[cone] = hit
+            self._filtered_memo[sid] = hit
+        else:
+            stats.cut_cone_hits += 1
         stats.cut_patterns_pruned += hit[1]
         return hit[0]
 

@@ -102,9 +102,7 @@ class OracleConfig:
         scalar_max_inputs: skip the scalar/packed differential (F003)
             above this input count (the scalar engine is ~100x slower).
         cross_engines: run the F009 filter-on-vs-off differential, and
-            F011 with the filter forced on as well as off (both skipped
-            for the extended match class, which the filter refuses by
-            design).
+            F011 with the filter forced on as well as off.
         contract_max_gates: skip the F010 recovery/multimap contract
             probe above this subject size (multimap maps the circuit
             once per decomposition style).
@@ -306,13 +304,10 @@ def _check_filter_agreement(
     Maps the subject with the filter forced on and forced off (both
     mappers, whatever the matcher's own rule would choose) and compares
     delay, area and the selected cover.  The filter only drops patterns
-    that provably cannot match standard/exact matches, so any
-    divergence is an error; extended matches are skipped (the filter
-    refuses them).  Independent of the battery's main results, so the
+    that provably cannot match under any match class, so any divergence
+    is an error.  Independent of the battery's main results, so the
     other injection modes cannot trip it.
     """
-    if kind is MatchKind.EXTENDED:
-        return
 
     def remap(tag: str, cut_filter: bool) -> MappingResult:
         if tag == "tree":
@@ -399,7 +394,7 @@ def _check_eco(
     report.meta["eco_script"] = script.encode()
 
     states = [False]
-    if config.cross_engines and kind is not MatchKind.EXTENDED:
+    if config.cross_engines:
         states.append(True)
     for cut_filter in states:
         tag = f"filter-{'on' if cut_filter else 'off'}"

@@ -26,7 +26,6 @@ from repro.network.expr import And, Const, Expr, Not, Or, Var, Xor
 from repro.network.subject import NodeType
 
 if TYPE_CHECKING:
-    from repro.library.npn_table import NPNTable
     from repro.perf.trie import PatternTrie
 
 __all__ = ["PatternNode", "PatternGraph", "PatternSet", "generate_patterns"]
@@ -486,9 +485,8 @@ class PatternSet:
     """All pattern graphs of a library, indexed for the matcher.
 
     The set owns every fact that depends on the patterns alone, and
-    every matcher over it shares them: :attr:`trie` and
-    :attr:`npn_table` are built on first use, at most once, and no fact
-    is written afterwards.
+    every matcher over it shares them: :attr:`trie` is built on first
+    use, at most once, and no fact is written afterwards.
 
     Attributes:
         library: the gate library the set was built from.
@@ -546,17 +544,10 @@ class PatternSet:
 
     @cached_property
     def trie(self) -> "PatternTrie":
-        """The binding groups and feasibility shapes of the cached matcher."""
+        """The matcher's binding groups, feasibility and capped shapes."""
         from repro.perf.trie import PatternTrie
 
         return PatternTrie(self)
-
-    @cached_property
-    def npn_table(self) -> "NPNTable":
-        """The cut filter's NPN table, chain ids and pattern-shape ids."""
-        from repro.library.npn_table import build_npn_table
-
-        return build_npn_table(self)
 
     def same_set(self, other: "PatternSet") -> bool:
         """Whether ``other`` holds exactly this set's patterns.

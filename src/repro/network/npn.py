@@ -12,11 +12,7 @@ The canonical form is the lexicographically smallest image over all
 ``2^n * n! * 2`` transforms, found by exhaustive search, intended for
 the n <= 6 functions that appear as library gates.  Nothing is cached:
 the callers (library lint L004, ``repro-map libstats``, the tests)
-canonicalise a library's worth of functions at most.  The matcher's cut
-filter never canonicalises here; its library NPN table
-(:mod:`repro.library.npn_table`) classifies frontier functions through
-its own orbit map, and this search is the reference it is tested
-against.
+canonicalise a library's worth of functions at most.
 """
 
 from __future__ import annotations

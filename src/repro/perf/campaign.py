@@ -318,9 +318,8 @@ def _mapping_bundle_factory() -> Callable[[tuple], Callable[[object], object]]:
     """Per-worker bundle factory for mapping campaigns.
 
     One bundle per distinct ``(library, max_variants, kind)``: the
-    pattern set, which builds its trie at the bundle's first job and its
-    NPN-class table once a job's matcher turns the cut filter on, and
-    keeps both for the worker's life.  Jobs only carry the key; the
+    pattern set, which builds its trie at the bundle's first job and
+    keeps it for the worker's life.  Jobs only carry the key; the
     heavy state never crosses the process boundary.
     """
 

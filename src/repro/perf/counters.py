@@ -44,15 +44,13 @@ class MatchStats:
         groups_enumerated: (pattern group, subject node) enumerations run.
         matches_replayed: matches materialised via signature replay.
         cut_filter_nodes: subject nodes whose pattern loop ran under the
-            matcher's cut filter (zero when the filter was off), cone
-            memo hits included.
-        cut_cone_hits: of those, nodes answered from the filter's cone
-            memo (an equal depth-capped cone seen before) without
-            computing cuts.
+            matcher's cut filter (zero when the filter was off), memo
+            hits included.
+        cut_cone_hits: of those, nodes answered from the filter's
+            kept-list memo (an equal depth-capped cone shape seen
+            before) without any embed test.
         cut_patterns_pruned: patterns skipped by that filter before any
             binding enumeration.
-        cut_tainted_nodes: nodes where the cut enumerator hit its per-node
-            cap and the filter fell back to allowing every pattern.
         eco_nodes_reused: subject nodes whose label/match was spliced in
             from a previous mapping by the ECO reuse hook
             (:func:`repro.eco.eco_remap`) without consulting the matcher.
@@ -70,7 +68,6 @@ class MatchStats:
     cut_filter_nodes: int = 0
     cut_cone_hits: int = 0
     cut_patterns_pruned: int = 0
-    cut_tainted_nodes: int = 0
     eco_nodes_reused: int = 0
     eco_nodes_remapped: int = 0
 
@@ -177,7 +174,7 @@ class RunStats:
         p50_s / p95_s / p99_s: nearest-rank percentiles of per-job
             wall-clock (all attempts of a job summed).
         warm_hits: jobs served by a worker that already held the job's
-            cache bundle (pattern trie / NPN table / memos).
+            cache bundle (pattern set, trie and memos).
         warm_misses: jobs that had to build their bundle first.
         shard_small_jobs / shard_large_jobs: jobs routed to each shard
             of the size-sharded stream engine.

@@ -234,7 +234,7 @@ def _init_worker(
     rather than per job — and any other key a job later names is built
     lazily on first use and cached for the worker's lifetime.  Built
     bundles never cross the process boundary, so they may hold
-    arbitrarily heavy state (pattern sets, NPN tables, matcher memos).
+    arbitrarily heavy state (pattern sets, tries, matcher memos).
     """
     build = factory(*factory_args)
     bundles = {bundle_key: build(bundle_key) for bundle_key in eager}

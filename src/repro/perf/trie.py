@@ -21,15 +21,40 @@ at every subject node; this module merges that work on two levels:
   and ignores leaf pins and sharing, so one cache entry serves every
   occurrence of a shape across the entire pattern set: shared prefixes
   are walked once per subject node.
+* **Capped shapes** — every pattern's tree shape cut off at
+  :data:`SHAPE_DEPTH_CAP` levels (:func:`pattern_shape`), interned in a
+  second id space that the matcher's shape filter extends with subject
+  cone shapes (see ``Matcher._filtered_patterns``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, cast
 
 from repro.library.patterns import PatternGraph, PatternNode, PatternSet
+from repro.network.subject import NodeType
 
-__all__ = ["PatternGroup", "PatternTrie"]
+__all__ = [
+    "PatternGroup",
+    "PatternTrie",
+    "SHAPE_DEPTH_CAP",
+    "intern_shape_key",
+    "pattern_shape",
+]
+
+#: Depth bound of the shape filter's pattern shapes and cone shapes.
+SHAPE_DEPTH_CAP = 6
+
+#: A depth-capped pattern shape: ``("?",)`` wildcard (leaf or beyond
+#: the cap), ``("I", child)`` inverter, ``("N", a, b)`` NAND with
+#: children in sorted order (canonical under NAND symmetry).
+Shape = Tuple[object, ...]
+
+#: Interned capped shape: ``None`` for the atoms (id 0 the wildcard, id
+#: 1 the subject-PI marker), else the sorted tuple of the children's ids.
+ShapeKey = Optional[Tuple[int, ...]]
+
+_WILDCARD: Shape = ("?",)
 
 
 class PatternGroup:
@@ -103,8 +128,50 @@ def _ordered_serial(
     return tuple(tokens), order
 
 
+def pattern_shape(pattern: PatternGraph, depth_cap: int = SHAPE_DEPTH_CAP) -> Shape:
+    """The pattern tree truncated at ``depth_cap``, leaves collapsed.
+
+    Leaves (and anything deeper than the cap) become the ``("?",)``
+    wildcard; NAND children are sorted so symmetric bracketings share
+    one canonical shape.  Any match maps every inner pattern node onto
+    a subject node of the same kind preserving edges, so this shape
+    embeds into the subject cone's depth-``depth_cap`` unfolding.
+    """
+    return _truncated_shape(pattern.root, depth_cap)
+
+
+def _truncated_shape(node: PatternNode, budget: int) -> Shape:
+    if not node.fanins or budget == 0:  # a leaf, or the cap
+        return _WILDCARD
+    if node.kind is NodeType.INV:
+        return ("I", _truncated_shape(node.fanins[0], budget - 1))
+    a = _truncated_shape(node.fanins[0], budget - 1)
+    b = _truncated_shape(node.fanins[1], budget - 1)
+    return ("N", a, b) if a <= b else ("N", b, a)  # type: ignore[operator]
+
+
+def intern_shape_key(
+    intern: Dict[Tuple[int, ...], int], keys: List[ShapeKey], key: Tuple[int, ...]
+) -> int:
+    """The id of ``key`` in the space ``keys`` (indexed by ``intern``)."""
+    sid = intern.get(key)
+    if sid is None:
+        sid = intern[key] = len(keys)
+        keys.append(key)
+    return sid
+
+
+def _intern_shape(
+    intern: Dict[Tuple[int, ...], int], keys: List[ShapeKey], shape: Shape
+) -> int:
+    if shape[0] == "?":
+        return 0
+    children = (_intern_shape(intern, keys, cast(Shape, c)) for c in shape[1:])
+    return intern_shape_key(intern, keys, tuple(sorted(children)))
+
+
 class PatternTrie:
-    """Binding groups plus interned feasibility shapes for a pattern set.
+    """Binding groups plus interned feasibility and capped shapes.
 
     Attributes:
         groups: every :class:`PatternGroup`, in first-appearance order.
@@ -112,9 +179,16 @@ class PatternTrie:
         shape_of: ``id(pattern node) -> interned shape id`` for every node
             of every pattern; nodes with equal unordered shape share one id.
         n_shapes: number of distinct shapes interned.
+        capped_keys: capped-shape id -> :data:`ShapeKey` of every capped
+            pattern shape and sub-shape: the frozen id space the shape
+            filter extends with cone shapes (in a copy).
+        capped_ids: root kind -> capped-shape id of every pattern in
+            ``PatternSet.for_root`` order.
     """
 
-    __slots__ = ("groups", "group_of", "shape_of", "n_shapes")
+    __slots__ = (
+        "groups", "group_of", "shape_of", "n_shapes", "capped_keys", "capped_ids",
+    )
 
     def __init__(self, patterns: PatternSet):
         self.groups: List[PatternGroup] = []
@@ -162,6 +236,22 @@ class PatternTrie:
                 shape_of[id(node)] = sid
         self.shape_of = shape_of
         self.n_shapes = len(intern)
+
+        # Capped shapes once per group (members are isomorphic), groups
+        # in first-appearance order, so ids are numbered as a walk over
+        # every pattern would number them.
+        keys: List[ShapeKey] = [None, None]  # the two atoms
+        capped_intern: Dict[Tuple[int, ...], int] = {}
+        capped_of: Dict[int, int] = {}
+        for group in self.groups:
+            sid = _intern_shape(capped_intern, keys, pattern_shape(group.rep))
+            for member in group.members:
+                capped_of[id(member)] = sid
+        self.capped_keys: Tuple[ShapeKey, ...] = tuple(keys)
+        self.capped_ids: Dict[NodeType, Tuple[int, ...]] = {
+            kind: tuple(capped_of[id(p)] for p in ps)
+            for kind, ps in patterns.by_root_kind.items()
+        }
 
     def __repr__(self) -> str:
         n_patterns = sum(len(g.members) for g in self.groups)

@@ -117,7 +117,7 @@ class TestMapping:
                      "--variants", "4"]) == 0
         text = capsys.readouterr().out
         assert "filter    : cut filter on at " in text
-        assert "from the cone memo), " in text
+        assert "from the shape memo), " in text
         assert "candidate patterns pruned" in text
 
     @pytest.mark.parametrize(

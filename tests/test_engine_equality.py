@@ -1,7 +1,7 @@
 """The filter-agrees gate: the matcher with its cut filter on vs off.
 
 The cut filter is a pure acceleration — a sound pre-filter in front of
-the same injective matcher — so on every Table-2/3 suite circuit under
+the same matcher — so on every Table-2/3 suite circuit under
 44-1 (8 variants), 44-3 (4 variants) and lib2 (8 variants) the filter
 forced on and forced off must produce *identical* delay, area and
 mapped-BLIF bytes, for DAG covering and tree covering alike, whatever
@@ -17,16 +17,13 @@ from repro.bench.suite import TABLE23_NAMES, build_subject
 from repro.check import certify_mapping
 from repro.core.dag_mapper import map_dag
 from repro.core.labeling import compute_labels
-from repro.core.cuts import LazyCuts
 from repro.core.match import CUT_FILTER_MIN_GROUPS, MatchKind, Matcher
 from repro.core.tree_mapper import map_tree
-from repro.errors import MappingError
 from repro.fuzz.generator import FuzzConfig, random_dag
 from repro.library.builtin import lib2_like, lib44_3
 from repro.library.patterns import PatternSet
 from repro.network.decompose import decompose_network
 from repro.network.mapped_io import dumps_mapped_blif
-from repro.perf.signature import cone_signature
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +106,14 @@ class TestLib2:
 
 
 class TestEngineSelection:
-    def test_extended_kind_rejected_for_cuts(self, lib441_patterns):
-        with pytest.raises(MappingError, match="standard/exact"):
-            Matcher(lib441_patterns, MatchKind.EXTENDED, cut_filter=True)
+    @pytest.mark.parametrize("library", ["44-3", "44-1"])
+    def test_extended_kind_identical(self, library, subjects,
+                                     lib441_patterns, lib443_patterns):
+        patterns = {"44-3": lib443_patterns, "44-1": lib441_patterns}[library]
+        s, c = both_filters(
+            map_dag, subjects["C2670s"], patterns, kind=MatchKind.EXTENDED
+        )
+        assert outputs(c) == outputs(s)
 
     def test_exact_kind_allowed_for_cuts(self, subjects, lib441_patterns):
         subject = subjects["C2670s"]
@@ -146,7 +148,7 @@ class TestFilterRule:
         ("44-1", 8, MatchKind.STANDARD, True, False),
         ("lib2", 8, MatchKind.STANDARD, True, False),
         ("mini", 8, MatchKind.STANDARD, True, False),
-        ("44-3", 4, MatchKind.EXTENDED, True, False),
+        ("44-3", 4, MatchKind.EXTENDED, True, True),
         ("44-3", 4, MatchKind.STANDARD, False, False),
     ])
     def test_rule_on_c3540s(self, library, variants, kind, rule, expected,
@@ -177,7 +179,7 @@ class TestFilterRule:
         for patterns, kind, expected in (
             (lib443_patterns, MatchKind.STANDARD, True),
             (lib443_patterns, MatchKind.EXACT, True),
-            (lib443_patterns, MatchKind.EXTENDED, False),
+            (lib443_patterns, MatchKind.EXTENDED, True),
             (lib441_patterns, MatchKind.STANDARD, False),
             (lib2_patterns, MatchKind.STANDARD, False),
         ):
@@ -194,12 +196,12 @@ class TestFilterRule:
         off.attach(subjects["C3540s"])
         assert not off.filter_on
 
-    @pytest.mark.parametrize("kind", [MatchKind.STANDARD, MatchKind.EXACT])
+    @pytest.mark.parametrize("kind", list(MatchKind))
     def test_shared_matcher_across_seeded_subjects(self, kind,
                                                    lib443_patterns):
-        """One filtering matcher across many subjects, its cone memo
-        carried from each to the next, lists every node's matches as a
-        fresh matcher and an unfiltered one do."""
+        """One filtering matcher across many subjects, its kept-list
+        memo carried from each to the next, lists every node's matches
+        as a fresh matcher and an unfiltered one do."""
         shared = Matcher(lib443_patterns, kind)
         memo = None
         for seed in range(20):
@@ -209,8 +211,8 @@ class TestFilterRule:
             for matcher in (shared, fresh, off):
                 matcher.attach(subject)
             assert shared.filter_on and fresh.filter_on and not off.filter_on
-            memo = memo if memo is not None else shared._cone_memo
-            assert shared._cone_memo is memo  # survives attach
+            memo = memo if memo is not None else shared._filtered_memo
+            assert shared._filtered_memo is memo  # survives attach
             for node in subject.topological():
                 want = [m.identity() for m in off.matches_at(node)]
                 assert [m.identity() for m in shared.matches_at(node)] == want
@@ -218,35 +220,22 @@ class TestFilterRule:
         assert shared.stats.cut_cone_hits > 0
         assert shared.stats.cut_filter_nodes > shared.stats.cut_cone_hits
 
-    def test_tainted_answers_are_not_memoized(self, lib443_patterns):
-        """A cut cap of one taints every node above a merge of two
-        non-trivial cut sets: the memo keeps only untainted answers, and
-        each equals an uncapped matcher's answer for the same cone."""
-        subject = fuzz_subject(30)
-        capped = Matcher(lib443_patterns)
-        capped.attach(subject)
-        table = lib443_patterns.npn_table
-        capped._cuts = LazyCuts(table.k, table.depth_cap, max_cuts=1)
-        for node in subject.topological():
-            capped.matches_at(node)
-        stats = capped.stats
-        assert stats.cut_tainted_nodes > 0
-        assert stats.cut_filter_nodes > stats.cut_cone_hits
-        assert len(capped._cone_memo) <= (
-            stats.cut_filter_nodes - stats.cut_cone_hits
-        )
-        uncapped = Matcher(lib443_patterns)
-        uncapped.attach(subject)
-        checked = set()
-        for node in subject.topological():
-            if node.is_pi:
-                continue
-            key = cone_signature(node, table.depth_cap)[0]
-            if key in capped._cone_memo:
-                kept = capped._cone_memo[key][0]
-                assert kept == uncapped._filtered_patterns(node)
-                checked.add(key)
-        assert len(checked) == len(capped._cone_memo) > 0
+    def test_only_the_kept_list_memo_survives_attach(self, lib443_patterns):
+        """The kept lists live as long as the matcher; the embed memo
+        and the cone shapes belong to one attached subject."""
+        matcher = Matcher(lib443_patterns)
+        first, second = fuzz_subject(30, seed=1), fuzz_subject(30, seed=2)
+        matcher.attach(first)
+        for node in first.topological():
+            matcher.matches_at(node)
+        kept, n_kept = matcher._filtered_memo, len(matcher._filtered_memo)
+        assert n_kept > 0 and matcher._embed_memo and matcher._cone_shapes
+        matcher.attach(second)
+        assert matcher._filtered_memo is kept and len(kept) == n_kept
+        assert not matcher._embed_memo and not matcher._cone_shapes
+        for node in second.topological():
+            matcher.matches_at(node)
+        assert matcher.stats.cut_cone_hits > 0
 
 
 def trie_state(trie):
@@ -258,31 +247,27 @@ def trie_state(trie):
         {pid: index[id(group)] for pid, group in trie.group_of.items()},
         trie.shape_of,
         trie.n_shapes,
+        trie.capped_keys,
+        trie.capped_ids,
     )
 
 
 class TestPatternSideBuiltOnce:
-    """The pattern set builds its trie and NPN table lazily, at most
-    once, and no matcher writes to them."""
+    """The pattern set builds its trie lazily, at most once, and no
+    matcher writes to it."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
-        from repro.library import npn_table
         from repro.perf import trie
 
-        counts = {"trie": 0, "npn_table": 0}
-        real_trie, real_table = trie.PatternTrie, npn_table.build_npn_table
+        counts = {"trie": 0}
+        real_trie = trie.PatternTrie
 
         def count_trie(patterns):
             counts["trie"] += 1
             return real_trie(patterns)
 
-        def count_table(patterns):
-            counts["npn_table"] += 1
-            return real_table(patterns)
-
         monkeypatch.setattr(trie, "PatternTrie", count_trie)
-        monkeypatch.setattr(npn_table, "build_npn_table", count_table)
         return counts
 
     def test_construction_builds_neither(self, builds):
@@ -297,34 +282,28 @@ class TestPatternSideBuiltOnce:
         assert report.meta["relabel_steps"] > 0
         assert builds == mapped
         assert "trie" not in vars(patterns)
-        assert "npn_table" not in vars(patterns)
 
     def test_two_matchers_share_one_build(self, builds, subjects):
         patterns = PatternSet(lib2_like(), max_variants=8)
         first = Matcher(patterns, cut_filter=True)
         compute_labels(subjects["C3540s"], patterns, matcher=first)
-        trie, table = patterns.trie, patterns.npn_table
+        trie = patterns.trie
         second = Matcher(patterns, cut_filter=True)
         compute_labels(subjects["C2670s"], patterns, matcher=second)
-        assert patterns.trie is trie and patterns.npn_table is table
-        assert builds == {"trie": 1, "npn_table": 1}
+        assert patterns.trie is trie
+        assert builds == {"trie": 1}
 
     def test_filter_leaves_pattern_side_unchanged(self, subjects,
                                                   lib443_patterns):
-        from repro.library.npn_table import build_npn_table
         from repro.perf.trie import PatternTrie
 
         first = Matcher(lib443_patterns)
         compute_labels(subjects["C6288s"], lib443_patterns, matcher=first)
         assert first.filter_on
-        table = lib443_patterns.npn_table
-        fresh_table = build_npn_table(lib443_patterns)
-        assert trie_state(lib443_patterns.trie) == trie_state(
-            PatternTrie(lib443_patterns))
-        assert table == fresh_table
+        fresh_trie = PatternTrie(lib443_patterns)
+        assert trie_state(lib443_patterns.trie) == trie_state(fresh_trie)
         # the cone shapes went into the matcher's copy of the id space
-        assert len(table.shape_keys) == len(fresh_table.shape_keys)
-        assert len(first._shape_keys) > len(table.shape_keys)
+        assert len(first._shape_keys) > len(fresh_trie.capped_keys)
         # ... so a later matcher numbers its cone shapes as it would on
         # a pattern set no matcher has used
         subject = fuzz_subject(40)

@@ -112,13 +112,13 @@ class TestEngineAgreement:
         )
         assert "F009" not in _codes(report), report.format()
 
-    def test_extended_kind_skipped(self):
-        # the cut filter refuses EXTENDED, so the agreement check must
-        # stand down rather than report a spurious F009
+    def test_extended_kind_checked(self):
+        # the filter's soundness holds for EXTENDED too, so the
+        # agreement check runs there and the injected skew trips it
         config = OracleConfig(kind="extended", inject="engine")
         net = random_dag(FuzzConfig(n_nodes=20, seed=6))
         report = run_battery(net, config, patterns=config.build_patterns())
-        assert "F009" not in _codes(report), report.format()
+        assert "F009" in _codes(report), report.format()
 
     def test_compares_forced_states_where_the_rule_is_on(self):
         # 44-3: the default run filters, so F009 must still map once
